@@ -3,9 +3,6 @@
 
    Subcommands:
      experiment  - reproduce a paper figure / ablation (or all of them)
-     dc          - one distinct-count tracking run with chosen parameters
-     ds          - one distinct-sample tracking run
-     hh          - one distinct heavy-hitters tracking run
      run         - one simulation from a declarative query spec, with
                    optional --views standing satellite queries
      coord       - run a tracking protocol over the socket or TCP transport
@@ -113,7 +110,7 @@ let parse_faults ~fault_seed = function
   | None -> Ok Wd_net.Faults.none
   | Some spec -> Wd_net.Faults.of_spec ~seed:fault_seed spec
 
-(* Fault-counter rows for the dc/ds reports; empty without --faults. *)
+(* Fault-counter rows for the run report; empty without --faults. *)
 let fault_kv ~drops ~duplicates ~retries ~lost faults =
   if not (Wd_net.Faults.enabled faults) then []
   else
@@ -129,7 +126,7 @@ let load_trace path =
   else Wd_workload.Trace_io.load_binary path
 
 (* ------------------------------------------------------------------ *)
-(* Observability plumbing shared by dc and ds *)
+(* Observability outputs of a run *)
 
 let trace_out_arg =
   let doc = "Write a JSONL protocol trace of the run to $(docv)." in
@@ -143,24 +140,49 @@ let metrics_out_arg =
   Arg.(
     value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc)
 
-(* Build the (sink, registry) pair the run should be instrumented with. *)
-let build_obs ~trace_out ~metrics_out =
-  let metrics = Option.map (fun _ -> Metrics.create ()) metrics_out in
-  let sinks =
-    Option.to_list (Option.map (fun path -> Sink.jsonl path) trace_out)
-    @ Option.to_list (Option.map Sink.metrics metrics)
-  in
-  let sink = match sinks with [] -> None | l -> Some (Sink.fanout l) in
-  (sink, metrics)
+(* Open an output file named by [flag] before any work starts, so a bad
+   path is a usage error that names it rather than a crash (or, for
+   --metrics-out, a failure after the whole run). *)
+let open_output flag opener = function
+  | None -> Ok None
+  | Some path -> (
+    match opener path with
+    | x -> Ok (Some x)
+    | exception Sys_error e ->
+      Error (Printf.sprintf "%s: cannot write %s" flag e))
 
-let finish_obs ~trace_out ~metrics_out sink metrics =
-  Option.iter Sink.close sink;
+type obs = {
+  sink : Sink.t option;
+  metrics : Metrics.t option;
+  trace_out : string option;
+  metrics_oc : (string * out_channel) option;
+}
+
+(* The trace sink and metrics registry a run is instrumented with. *)
+let open_obs ~trace_out ~metrics_out =
+  let ( let* ) = Result.bind in
+  let* metrics_oc =
+    open_output "--metrics-out" (fun p -> (p, open_out p)) metrics_out
+  in
+  match open_output "--trace-out" Sink.jsonl trace_out with
+  | Error _ as e ->
+    Option.iter (fun (_, oc) -> close_out_noerr oc) metrics_oc;
+    e
+  | Ok trace ->
+    let metrics = Option.map (fun _ -> Metrics.create ()) metrics_oc in
+    let sinks =
+      Option.to_list trace @ Option.to_list (Option.map Sink.metrics metrics)
+    in
+    let sink = match sinks with [] -> None | l -> Some (Sink.fanout l) in
+    Ok { sink; metrics; trace_out; metrics_oc }
+
+let finish_obs o =
+  Option.iter Sink.close o.sink;
   Option.iter
     (fun path -> Printf.printf "trace written to %s\n" path)
-    trace_out;
-  match (metrics_out, metrics) with
-  | Some path, Some m ->
-    let oc = open_out path in
+    o.trace_out;
+  match (o.metrics_oc, o.metrics) with
+  | Some (path, oc), Some m ->
     if Filename.check_suffix path ".json" then
       output_string oc (Wd_obs.Json.to_string (Metrics.to_json m))
     else output_string oc (Metrics.to_prometheus m);
@@ -278,241 +300,74 @@ let experiment_cmd =
     Term.(ret (const run $ ids_arg $ scale_arg $ seed_arg $ epsilon_arg))
 
 (* ------------------------------------------------------------------ *)
-(* dc *)
-
-let dc_cmd =
-  let algo_arg =
-    let doc = "Tracking algorithm: NS, SC, SS, LS or EC." in
-    Arg.(
-      value
-      & opt (enum (List.map (fun a -> (Dc.algorithm_to_string a, a)) Dc.all_algorithms))
-          Dc.LS
-      & info [ "algorithm"; "a" ] ~docv:"ALGO" ~doc)
-  in
-  let theta_frac_arg =
-    let doc = "Lag share of the error budget (theta = F * epsilon)." in
-    Arg.(value & opt float 0.3 & info [ "theta-frac" ] ~docv:"F" ~doc)
-  in
-  let run algorithm theta_frac workload trace scale seed epsilon sites events
-      trace_out metrics_out faults_spec fault_seed =
-    match parse_faults ~fault_seed faults_spec with
-    | Error e -> `Error (false, e)
-    | Ok faults ->
-      let stream =
-        match trace with
-        | Some path -> load_trace path
-        | None -> build_workload workload ~scale ~seed ~sites ~events
-      in
-      let theta = theta_frac *. epsilon in
-      let alpha = epsilon -. theta in
-      let sink, metrics = build_obs ~trace_out ~metrics_out in
-      let r =
-        Simulation.run ~seed ?sink ?metrics ~faults
-          (Query.dc ~theta ~alpha algorithm)
-          stream
-      in
-      let exact = Simulation.exact_dc_bytes stream in
-      Report.print_section
-        (Printf.sprintf "distinct count tracking (%s)"
-           (Dc.algorithm_to_string algorithm));
-      Report.print_kv
-        ([
-           ("sites", string_of_int (Stream.num_sites stream));
-           ("updates", string_of_int r.Simulation.updates);
-           ("true distinct", string_of_int r.Simulation.final_truth);
-           ("estimate", Printf.sprintf "%.0f" r.Simulation.final_estimate);
-           ( "relative error",
-             Printf.sprintf "%.4f"
-               (Float.abs
-                  (r.Simulation.final_estimate
-                  -. Float.of_int r.Simulation.final_truth)
-               /. Float.of_int (max 1 r.Simulation.final_truth)) );
-           ("bytes up / down",
-            Printf.sprintf "%d / %d" r.Simulation.bytes_up
-              r.Simulation.bytes_down);
-           ("total bytes", string_of_int r.Simulation.total_bytes);
-           ("exact (EC) bytes", string_of_int exact);
-           ( "cost ratio",
-             Printf.sprintf "%.3e"
-               (Float.of_int r.Simulation.total_bytes /. Float.of_int exact)
-           );
-           ("site->coord messages", string_of_int r.Simulation.sends);
-         ]
-        @ fault_kv ~drops:r.Simulation.drops
-            ~duplicates:r.Simulation.duplicates
-            ~retries:r.Simulation.retries ~lost:r.Simulation.lost_updates
-            faults);
-      (* The asymmetric information flow the paper's conclusion highlights:
-         per-direction traffic differs sharply across algorithms. *)
-      Printf.printf "up/down asymmetry    : %.2f\n"
-        (Float.of_int r.Simulation.bytes_up
-        /. Float.of_int (max 1 r.Simulation.bytes_down));
-      finish_obs ~trace_out ~metrics_out sink metrics;
-      `Ok ()
-  in
-  let doc = "Run one distinct-count tracking simulation." in
-  Cmd.v (Cmd.info "dc" ~doc)
-    Term.(
-      ret
-        (const run $ algo_arg $ theta_frac_arg $ workload_arg $ trace_arg
-        $ scale_arg $ seed_arg $ epsilon_arg $ sites_arg $ events_arg
-        $ trace_out_arg $ metrics_out_arg $ faults_arg $ fault_seed_arg))
-
-(* ------------------------------------------------------------------ *)
-(* ds *)
-
-let ds_cmd =
-  let algo_arg =
-    let doc = "Tracking algorithm: LCO, GCS, LCS or EDS." in
-    Arg.(
-      value
-      & opt (enum (List.map (fun a -> (Ds.algorithm_to_string a, a)) Ds.all_algorithms))
-          Ds.LCO
-      & info [ "algorithm"; "a" ] ~docv:"ALGO" ~doc)
-  in
-  let threshold_arg =
-    let doc = "Distinct-sample size bound T." in
-    Arg.(value & opt int 500 & info [ "threshold"; "T" ] ~docv:"T" ~doc)
-  in
-  let theta_arg =
-    let doc = "Count lag budget theta." in
-    Arg.(value & opt float 0.25 & info [ "theta" ] ~docv:"THETA" ~doc)
-  in
-  let run algorithm threshold theta workload trace scale seed sites events
-      trace_out metrics_out faults_spec fault_seed =
-    match parse_faults ~fault_seed faults_spec with
-    | Error e -> `Error (false, e)
-    | Ok faults ->
-      let stream =
-        match trace with
-        | Some path -> load_trace path
-        | None -> build_workload workload ~scale ~seed ~sites ~events
-      in
-      let sink, metrics = build_obs ~trace_out ~metrics_out in
-      let r =
-        Simulation.run ~seed ?sink ~faults
-          (Query.ds ~theta ~threshold algorithm)
-          stream
-      in
-      let exact = Simulation.exact_ds_bytes stream in
-      let level, sample, max_count_error =
-        match r.Simulation.aux with
-        | Simulation.Ds_aux { level; sample; max_count_error } ->
-          (level, sample, max_count_error)
-        | _ -> assert false
-      in
-      let module D = Wd_aggregate.Duplication in
-      Report.print_section
-        (Printf.sprintf "distinct sample tracking (%s)"
-           (Ds.algorithm_to_string algorithm));
-      Report.print_kv
-        ([
-           ("sites", string_of_int (Stream.num_sites stream));
-           ("updates", string_of_int r.Simulation.updates);
-           ("sample size / T",
-            Printf.sprintf "%d / %d" (List.length sample) threshold);
-           ("sampling level", string_of_int level);
-           ("distinct estimate",
-            Printf.sprintf "%.0f" r.Simulation.final_estimate);
-           ("true distinct", string_of_int (Stream.distinct_count stream));
-           ("unique-event estimate",
-            Printf.sprintf "%.0f" (D.unique_count ~level sample));
-           ( "median duplication",
-             match D.median_count sample with
-             | Some m -> string_of_int m
-             | None -> "n/a" );
-           ("max count error", Printf.sprintf "%.4f" max_count_error);
-           ("total bytes", string_of_int r.Simulation.total_bytes);
-           ("exact (EDS) bytes", string_of_int exact);
-           ( "cost ratio",
-             Printf.sprintf "%.3e"
-               (Float.of_int r.Simulation.total_bytes /. Float.of_int exact)
-           );
-         ]
-        @ fault_kv ~drops:r.Simulation.drops
-            ~duplicates:r.Simulation.duplicates
-            ~retries:r.Simulation.retries ~lost:r.Simulation.lost_updates
-            faults);
-      finish_obs ~trace_out ~metrics_out sink metrics;
-      `Ok ()
-  in
-  let doc = "Run one distinct-sample tracking simulation." in
-  Cmd.v (Cmd.info "ds" ~doc)
-    Term.(
-      ret
-        (const run $ algo_arg $ threshold_arg $ theta_arg $ workload_arg
-        $ trace_arg $ scale_arg $ seed_arg $ sites_arg $ events_arg
-        $ trace_out_arg $ metrics_out_arg $ faults_arg $ fault_seed_arg))
-
-(* ------------------------------------------------------------------ *)
-(* hh *)
-
-let hh_cmd =
-  let algo_arg =
-    let doc = "Tracking algorithm: NS, SC, SS or LS." in
-    Arg.(
-      value
-      & opt
-          (enum
-             (List.map
-                (fun a -> (Dc.algorithm_to_string a, a))
-                Dc.approximate_algorithms))
-          Dc.LS
-      & info [ "algorithm"; "a" ] ~docv:"ALGO" ~doc)
-  in
-  let top_arg =
-    let doc = "Report the top-K distinct heavy hitters." in
-    Arg.(value & opt int 10 & info [ "top"; "k" ] ~docv:"K" ~doc)
-  in
-  let run algorithm top_k scale seed =
-    let cfg = Http.scaled ~seed scale in
-    let pairs =
-      Simulation.pair_stream_of_requests cfg Http.Per_region (Http.generate cfg)
-    in
-    let r =
-      Simulation.run ~seed ~top_k
-        (Query.hh
-           ~config:{ Wd_aggregate.Fm_array.rows = 3; cols = 500; bitmaps = 10 }
-           ~theta:0.03 algorithm)
-        (Simulation.stream_of_pairs pairs)
-    in
-    let avg_norm_error, topk_recall, exact_bytes =
-      match r.Simulation.aux with
-      | Simulation.Hh_aux { avg_norm_error; topk_recall; exact_bytes } ->
-        (avg_norm_error, topk_recall, exact_bytes)
-      | _ -> assert false
-    in
-    Report.print_section
-      (Printf.sprintf "distinct heavy hitters (%s): objects by distinct clients"
-         (Dc.algorithm_to_string algorithm));
-    Report.print_kv
-      [
-        ("updates", string_of_int r.Simulation.updates);
-        ("total bytes", string_of_int r.Simulation.total_bytes);
-        ("exact-pair bytes", string_of_int exact_bytes);
-        ( "cost ratio",
-          Printf.sprintf "%.3e"
-            (Float.of_int r.Simulation.total_bytes
-            /. Float.of_int exact_bytes) );
-        (Printf.sprintf "recall@%d" top_k,
-         Printf.sprintf "%.2f" topk_recall);
-        ("normalized degree error", Printf.sprintf "%.5f" avg_norm_error);
-      ]
-  in
-  let doc = "Run one distinct heavy-hitters tracking simulation." in
-  Cmd.v (Cmd.info "hh" ~doc)
-    Term.(const run $ algo_arg $ top_arg $ scale_arg $ seed_arg)
-
-(* ------------------------------------------------------------------ *)
 (* run: the generic entry point — one declarative query, any protocol,
    plus optional satellite views sharing the stream *)
+
+(* The primary query's family-specific report rows: its accuracy, and
+   the exact baseline its bytes are priced against. *)
+let family_kv (r : Simulation.run) stream =
+  let q = r.Simulation.query in
+  let cost_ratio exact =
+    ( "cost ratio",
+      Printf.sprintf "%.3e"
+        (Float.of_int r.Simulation.total_bytes /. Float.of_int (max 1 exact))
+    )
+  in
+  match r.Simulation.aux with
+  | Simulation.Dc_aux ->
+    let exact = Simulation.exact_dc_bytes stream in
+    [
+      ( "relative error",
+        Printf.sprintf "%.4f"
+          (Float.abs
+             (r.Simulation.final_estimate
+             -. Float.of_int r.Simulation.final_truth)
+          /. Float.of_int (max 1 r.Simulation.final_truth)) );
+      ("exact (EC) bytes", string_of_int exact);
+      cost_ratio exact;
+      (* The asymmetric information flow the paper's conclusion
+         highlights: per-direction traffic differs sharply across
+         algorithms. *)
+      ( "up/down asymmetry",
+        Printf.sprintf "%.2f"
+          (Float.of_int r.Simulation.bytes_up
+          /. Float.of_int (max 1 r.Simulation.bytes_down)) );
+    ]
+  | Simulation.Ds_aux { level; sample; max_count_error } ->
+    let module D = Wd_aggregate.Duplication in
+    let exact = Simulation.exact_ds_bytes stream in
+    [
+      ( "sample size / T",
+        Printf.sprintf "%d / %d" (List.length sample) q.Query.threshold );
+      ("sampling level", string_of_int level);
+      ( "unique-event estimate",
+        Printf.sprintf "%.0f" (D.unique_count ~level sample) );
+      ( "median duplication",
+        match D.median_count sample with
+        | Some m -> string_of_int m
+        | None -> "n/a" );
+      ("max count error", Printf.sprintf "%.4f" max_count_error);
+      ("exact (EDS) bytes", string_of_int exact);
+      cost_ratio exact;
+    ]
+  | Simulation.Hh_aux { avg_norm_error; topk_recall; exact_bytes } ->
+    [
+      ( Printf.sprintf "recall@%d" q.Query.topk,
+        Printf.sprintf "%.2f" topk_recall );
+      ("normalized degree error", Printf.sprintf "%.5f" avg_norm_error);
+      ("exact-pair bytes", string_of_int exact_bytes);
+      cost_ratio exact_bytes;
+    ]
+  | Simulation.Window_aux _ | Simulation.Yz_hh_aux _ | Simulation.Yz_q_aux _
+    ->
+    []
 
 let run_cmd =
   let query_arg =
     let doc =
       "The primary query spec: $(i,family:alg\\[:key=value,...\\]), e.g. \
-       $(i,dc:ls:alpha=0.07,theta=0.03) or $(i,ds:lco:threshold=500).  \
-       Families: dc, ds, hh, window."
+       $(i,dc:ls:alpha=0.07,theta=0.03), $(i,ds:lco:threshold=500) or \
+       $(i,hh:ls:topk=10).  Families: dc, ds, hh, window, yzhh, yzq."
     in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"QUERY" ~doc)
   in
@@ -522,11 +377,7 @@ let run_cmd =
       let ( let* ) = Result.bind in
       let* q = Query.of_spec spec in
       let* views = parse_views views_spec in
-      let* faults =
-        Result.map_error
-          (fun e -> e)
-          (parse_faults ~fault_seed faults_spec)
-      in
+      let* faults = parse_faults ~fault_seed faults_spec in
       Ok (q, views, faults)
     with
     | Error e -> `Error (false, e)
@@ -545,21 +396,25 @@ let run_cmd =
                  (Http.generate cfg))
           | _ -> build_workload workload ~scale ~seed ~sites ~events)
       in
-      (* The tree is validated against the stream's own site count, which
-         a trace may dictate independently of --sites. *)
       match
-        match topology_spec with
-        | None -> Ok None
-        | Some s ->
-          Result.map Option.some
-            (Wd_net.Topology.of_spec ~sites:(Stream.num_sites stream) s)
+        let ( let* ) = Result.bind in
+        (* The tree is validated against the stream's own site count,
+           which a trace may dictate independently of --sites. *)
+        let* topology =
+          match topology_spec with
+          | None -> Ok None
+          | Some s ->
+            Result.map Option.some
+              (Wd_net.Topology.of_spec ~sites:(Stream.num_sites stream) s)
+        in
+        let* obs = open_obs ~trace_out ~metrics_out in
+        Ok (topology, obs)
       with
       | Error e -> `Error (false, e)
-      | Ok topology -> (
-        let sink, metrics = build_obs ~trace_out ~metrics_out in
+      | Ok (topology, obs) -> (
         match
-          Simulation.run ~seed ?sink ?metrics ?topology ~faults ~views q
-            stream
+          Simulation.run ~seed ?sink:obs.sink ?metrics:obs.metrics ?topology
+            ~faults ~views q stream
         with
         | exception Invalid_argument msg -> `Error (false, msg)
         | r ->
@@ -579,6 +434,7 @@ let run_cmd =
                ("total bytes", string_of_int r.Simulation.total_bytes);
                ("site->coord messages", string_of_int r.Simulation.sends);
              ]
+            @ family_kv r stream
             @ (match topology with
               | None -> []
               | Some t ->
@@ -596,7 +452,7 @@ let run_cmd =
                 ~retries:r.Simulation.retries ~lost:r.Simulation.lost_updates
                 faults);
           view_report_table r.Simulation.view_reports;
-          finish_obs ~trace_out ~metrics_out sink metrics;
+          finish_obs obs;
           `Ok ()))
   in
   let doc =
@@ -757,27 +613,18 @@ let coord_cmd =
     in
     Arg.(value & opt int 4 & info [ "relays" ] ~docv:"N" ~doc)
   in
-  let shards_arg =
-    let doc =
-      "Shard the coordinator's sketch merges across this many OCaml 5 \
-       worker domains (dc only; the merge laws make the published \
-       results identical to $(b,--shards 1))."
-    in
-    Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N" ~doc)
-  in
   let run protocol spawn path timeout workload scale seed epsilon sites events
       faults_spec fault_seed metrics_port spans trace_out tcp_port relays
-      shards views_spec =
+      views_spec =
     match
       let ( let* ) = Result.bind in
       let* faults = parse_faults ~fault_seed faults_spec in
       let* views = parse_views views_spec in
-      Ok (faults, views)
+      let* trace_sink = open_output "--trace-out" Sink.jsonl trace_out in
+      Ok (faults, views, trace_sink)
     with
     | Error e -> `Error (false, e)
-    | Ok _ when shards > 1 && protocol = `Ds ->
-      `Error (false, "--shards applies to the dc protocol only")
-    | Ok (faults, views) ->
+    | Ok (faults, views, trace_sink) ->
       let stream = build_workload workload ~scale ~seed ~sites ~events in
       let k = Stream.num_sites stream in
       let children = ref [] in
@@ -847,7 +694,6 @@ let coord_cmd =
            scrape endpoint polled from the coordinator's clock ticks,
            and an optional span trace. *)
         let metrics = Option.map (fun _ -> Metrics.create ()) metrics_port in
-        let trace_sink = Option.map Sink.jsonl trace_out in
         let sinks =
           Option.to_list trace_sink
           @ Option.to_list (Option.map Sink.metrics metrics)
@@ -886,7 +732,7 @@ let coord_cmd =
             let alpha = epsilon -. theta in
             let r =
               Simulation.run ~seed ~transport ~faults ?sink ?metrics ~spans
-                ~shards ~views
+                ~views
                 (Query.dc ~theta ~alpha Dc.LS)
                 stream
             in
@@ -1000,9 +846,6 @@ let coord_cmd =
                   Printf.sprintf "%d / %d" ws.Transport.batch_envelopes
                     ws.Transport.batch_inner_frames );
               ])
-          @ (if shards > 1 then
-               [ ("coordinator shards", string_of_int shards) ]
-             else [])
           @ (if spans then
                [
                  ( "span frames up / down",
@@ -1048,7 +891,7 @@ let coord_cmd =
         $ socket_timeout_arg $ workload_arg $ scale_arg $ seed_arg
         $ epsilon_arg $ sites_arg $ events_arg $ faults_arg $ fault_seed_arg
         $ metrics_port_arg $ spans_flag $ trace_out_arg $ tcp_port_arg
-        $ relays_arg $ shards_arg $ views_arg))
+        $ relays_arg $ views_arg))
 
 (* ------------------------------------------------------------------ *)
 (* eval *)
@@ -1961,9 +1804,6 @@ let () =
        (Cmd.group info
           [
             experiment_cmd;
-            dc_cmd;
-            ds_cmd;
-            hh_cmd;
             run_cmd;
             coord_cmd;
             site_cmd;

@@ -695,21 +695,22 @@ let ablation_fm_variant ?(options = default_options) () =
               Wd_sketch.Fm.family_custom ~rng:(Rng.create o.seed) ~variant
                 ~bitmaps
             in
-            let r =
-              Simulation.Dc_fm.run ~seed:o.seed ~family ~algorithm ~theta
-                ~alpha:0.07 ~error_samples:1 stream
+            (* No harness sampling is needed for a final-state table:
+               feed the tracker the whole stream in one batch. *)
+            let t =
+              Dc.Fm.create ~algorithm ~theta ~sites:(Stream.num_sites stream)
+                ~family ()
             in
-            let err =
-              Float.abs
-                (r.Simulation.dc_final_estimate
-                -. Float.of_int r.Simulation.dc_final_truth)
-              /. Float.of_int r.Simulation.dc_final_truth
-            in
+            Dc.Fm.observe_batch t ~sites:stream.Stream.sites
+              ~items:stream.Stream.items ~pos:0 ~len:(Stream.length stream);
+            let truth = Float.of_int (Stream.distinct_count stream) in
             [
               S name;
               dc_algo_cell algorithm;
-              R (Float.of_int r.Simulation.dc_total_bytes /. Float.of_int exact);
-              F err;
+              R
+                (Float.of_int (Network.total_bytes (Dc.Fm.network t))
+                /. Float.of_int exact);
+              F (Float.abs (Dc.Fm.estimate t -. truth) /. truth);
             ])
           [ Dc.NS; Dc.LS ])
       [ ("averaged", Wd_sketch.Fm.Averaged);

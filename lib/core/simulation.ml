@@ -3,9 +3,7 @@ module Network = Wd_net.Network
 module Transport = Wd_net.Transport
 module Tracker_intf = Wd_protocol.Tracker_intf
 module Wire = Wd_net.Wire
-module Dc = Wd_protocol.Dc_tracker
 module Ds = Wd_protocol.Ds_tracker
-module Rng = Wd_hashing.Rng
 module Sink = Wd_obs.Sink
 module Event = Wd_obs.Event
 module Metrics = Wd_obs.Metrics
@@ -41,23 +39,6 @@ let emit_run_meta sink ~protocol ~algorithm ~sites ~cost_model ~seed =
               cost_model = Network.cost_model_to_string cost_model;
             };
       }
-
-type dc_run = {
-  dc_algorithm : Dc.algorithm;
-  dc_updates : int;
-  dc_total_bytes : int;
-  dc_bytes_up : int;
-  dc_bytes_down : int;
-  dc_sends : int;
-  dc_final_estimate : float;
-  dc_final_truth : int;
-  dc_bytes_series : (int * int) array;
-  dc_error_series : (int * float) array;
-  dc_drops : int;
-  dc_duplicates : int;
-  dc_retries : int;
-  dc_lost_updates : int;
-}
 
 (* Evenly spaced 1-based sample positions over a run of [n] updates,
    always ending at [n]. *)
@@ -145,121 +126,6 @@ let feed tracker ~faults ~boundaries ~on_arrival ~sample_at stream =
       boundaries
   end
 
-module Make_dc (Sketch : Wd_sketch.Sketch_intf.DISTINCT_SKETCH) = struct
-  module Tracker = Dc.Make (Sketch)
-
-  let run ?(cost_model = Network.Unicast) ?transport ?(item_batching = true)
-      ?(seed = 1) ?(checkpoints = 20) ?(error_samples = 200)
-      ?(confidence = 0.9) ?family ?(sink = Sink.null) ?metrics
-      ?(spans = false) ?(faults = Wd_net.Faults.none) ?(shards = 1) ~algorithm
-      ~theta ~alpha stream =
-    let n = Stream.length stream in
-    if n = 0 then invalid_arg "Simulation.run_dc: empty stream";
-    let k = Stream.num_sites stream in
-    let rng = Rng.create seed in
-    let family =
-      match family with
-      | Some f -> f
-      | None -> Sketch.family ~rng ~accuracy:alpha ~confidence
-    in
-    (* EC ignores theta but the constructor validates it. *)
-    let theta = if algorithm = Dc.EC then Float.max theta 0.1 else theta in
-    let tracker =
-      Tracker.create ~cost_model ?transport ~item_batching ~sink ~shards
-        ~algorithm ~theta ~sites:k ~family ()
-    in
-    let transport = Tracker.transport tracker in
-    let net = Tracker.network tracker in
-    Network.set_sink net sink;
-    attach_spans ~spans ?metrics ~seed ~sink net;
-    Transport.set_faults transport faults;
-    emit_run_meta sink ~protocol:"dc"
-      ~algorithm:(Dc.algorithm_to_string algorithm)
-      ~sites:k ~cost_model ~seed;
-    (* Harness-side accuracy instruments: the protocols never see ground
-       truth, so the error histogram lives here, not in the trackers. *)
-    let err_hist =
-      Option.map
-        (fun m ->
-          Metrics.histogram m
-            ~help:"relative error of the coordinator estimate, sampled"
-            ~min_exp:(-20) ~max_exp:4 "wd_estimate_rel_error")
-        metrics
-    in
-    let truth_gauge =
-      Option.map
-        (fun m ->
-          Metrics.gauge m ~help:"exact distinct count at last error sample"
-            "wd_true_distinct")
-        metrics
-    in
-    let truth = Hashtbl.create 4096 in
-    let byte_positions = sample_positions n checkpoints in
-    let err_positions = sample_positions n error_samples in
-    let byte_at = cursor_matcher byte_positions in
-    let err_at = cursor_matcher err_positions in
-    let bytes_series = ref [] and error_series = ref [] in
-    let sample_at j =
-      if byte_at j then
-        bytes_series := (j, Network.total_bytes net) :: !bytes_series;
-      if err_at j then begin
-        let n0 = Float.of_int (Hashtbl.length truth) in
-        let err = Float.abs (Tracker.estimate tracker -. n0) /. n0 in
-        Option.iter (fun h -> Metrics.observe h err) err_hist;
-        Option.iter (fun g -> Metrics.set g n0) truth_gauge;
-        error_series := (j, err) :: !error_series
-      end
-    in
-    (* Truth is a set: arrivals that reached the system, deduplicated.
-       [feed] routes the crash-gated one-at-a-time path and the batched
-       path through the shared TRACKER surface. *)
-    feed (Tracker.generic tracker) ~faults
-      ~boundaries:(merge_positions byte_positions err_positions)
-      ~on_arrival:(fun item ->
-        if not (Hashtbl.mem truth item) then Hashtbl.replace truth item ())
-      ~sample_at stream;
-    (* Publish deferred sharded merges and join worker domains before
-       the final estimate is read. *)
-    Tracker.close tracker;
-    Transport.close transport;
-    {
-      dc_algorithm = algorithm;
-      dc_updates = n;
-      dc_total_bytes = Network.total_bytes net;
-      dc_bytes_up = Network.bytes_up net;
-      dc_bytes_down = Network.bytes_down net;
-      dc_sends = Tracker.sends tracker;
-      dc_final_estimate = Tracker.estimate tracker;
-      dc_final_truth = Hashtbl.length truth;
-      dc_bytes_series = Array.of_list (List.rev !bytes_series);
-      dc_error_series = Array.of_list (List.rev !error_series);
-      dc_drops = Network.drops net;
-      dc_duplicates = Network.duplicate_deliveries net;
-      dc_retries = Network.retries net;
-      dc_lost_updates = Tracker.lost_updates tracker;
-    }
-end
-
-module Dc_fm = Make_dc (Wd_sketch.Fm)
-
-type ds_run = {
-  ds_algorithm : Ds.algorithm;
-  ds_updates : int;
-  ds_total_bytes : int;
-  ds_bytes_up : int;
-  ds_bytes_down : int;
-  ds_sends : int;
-  ds_final_level : int;
-  ds_final_sample : (int * int) list;
-  ds_distinct_estimate : float;
-  ds_bytes_series : (int * int) array;
-  ds_max_count_error : float;
-  ds_drops : int;
-  ds_duplicates : int;
-  ds_retries : int;
-  ds_lost_updates : int;
-}
-
 type pair_stream = { psites : int array; vs : int array; ws : int array }
 
 let pair_stream_length p = Array.length p.psites
@@ -278,18 +144,6 @@ let pair_stream_of_requests cfg site_view reqs =
     ws.(j) <- reqs.(j).H.client
   done;
   { psites; vs; ws }
-
-type hh_run = {
-  hh_algorithm : Dc.algorithm;
-  hh_updates : int;
-  hh_total_bytes : int;
-  hh_bytes_up : int;
-  hh_bytes_down : int;
-  hh_sends : int;
-  hh_avg_norm_error : float;
-  hh_topk_recall : float;
-  hh_exact_bytes : int;
-}
 
 let true_distinct_prefixes stream ~samples =
   let n = Stream.length stream in
@@ -320,7 +174,7 @@ let exact_ds_bytes stream =
   Stream.length stream * Wire.message ~payload:Wire.item_bytes
 
 (* ------------------------------------------------------------------ *)
-(* The unified run API: one driver over declarative standing queries. *)
+(* The run API: one driver over declarative standing queries. *)
 
 module Query = Wd_view.Query
 module Registry = Wd_view.Registry
@@ -404,11 +258,11 @@ let exact_packed_pair_bytes stream =
 let run ?(cost_model = Network.Unicast) ?transport ?topology
     ?(item_batching = true) ?(seed = 1) ?(checkpoints = 20)
     ?(error_samples = 200) ?(sink = Sink.null) ?metrics ?(spans = false)
-    ?(faults = Wd_net.Faults.none) ?(shards = 1) ?(top_k = 20) ?(views = [])
-    (query : Query.t) stream =
+    ?(faults = Wd_net.Faults.none) ?(views = []) (query : Query.t) stream =
   let n = Stream.length stream in
   if n = 0 then invalid_arg "Simulation.run: empty stream";
   let k = Stream.num_sites stream in
+  let top_k = query.Query.topk in
   let is_window, is_hh, is_ds, sample_error =
     match query.Query.protocol with
     | Query.Dc _ -> (false, false, false, true)
@@ -427,8 +281,7 @@ let run ?(cost_model = Network.Unicast) ?transport ?topology
     if query.Query.window > 0 then query.Query.window else default_window
   in
   let reg =
-    Registry.create ~cost_model ?transport ~item_batching ~sink ~shards
-      ~default_window ~seed ~sites:k (query :: views)
+    Registry.create ~cost_model ?transport ~item_batching ~sink ~default_window ~seed ~sites:k (query :: views)
   in
   let tracker = Registry.packed reg in
   let net = Tracker_intf.network tracker in
@@ -515,8 +368,7 @@ let run ?(cost_model = Network.Unicast) ?transport ?topology
   feed tracker ~faults
     ~boundaries:(merge_positions byte_positions err_positions)
     ~on_arrival ~sample_at stream;
-  (* Publish deferred sharded merges, join worker domains and close the
-     transports before the final answers are read. *)
+  (* Close the transports before the final answers are read. *)
   Registry.close reg;
   let aux =
     if is_ds then begin
@@ -660,7 +512,7 @@ let run ?(cost_model = Network.Unicast) ?transport ?topology
         })
   in
   (* Trace the per-view answers, but only for genuinely multi-view runs:
-     single-view traces must stay bit-identical to the legacy drivers. *)
+     single-view traces keep the shape the golden traces pin. *)
   if Registry.views reg > 1 then
     Array.iteri
       (fun i (vr : view_report) ->
@@ -697,95 +549,4 @@ let run ?(cost_model = Network.Unicast) ?transport ?topology
     lost_updates = Tracker_intf.lost_updates tracker;
     aux;
     view_reports;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Legacy entry points, kept as wrappers over {!run}. *)
-
-let run_dc ?cost_model ?transport ?item_batching ?seed ?checkpoints
-    ?error_samples ?confidence ?sink ?metrics ?spans ?faults ?shards ~algorithm
-    ~theta ~alpha stream =
-  if Stream.length stream = 0 then
-    invalid_arg "Simulation.run_dc: empty stream";
-  let r =
-    run ?cost_model ?transport ?item_batching ?seed ?checkpoints
-      ?error_samples ?sink ?metrics ?spans ?faults ?shards
-      (Query.dc ?confidence ~theta ~alpha algorithm)
-      stream
-  in
-  {
-    dc_algorithm = algorithm;
-    dc_updates = r.updates;
-    dc_total_bytes = r.total_bytes;
-    dc_bytes_up = r.bytes_up;
-    dc_bytes_down = r.bytes_down;
-    dc_sends = r.sends;
-    dc_final_estimate = r.final_estimate;
-    dc_final_truth = r.final_truth;
-    dc_bytes_series = r.bytes_series;
-    dc_error_series = r.error_series;
-    dc_drops = r.drops;
-    dc_duplicates = r.duplicates;
-    dc_retries = r.retries;
-    dc_lost_updates = r.lost_updates;
-  }
-
-let run_ds ?cost_model ?transport ?seed ?checkpoints ?sink ?spans ?faults
-    ~algorithm ~theta ~threshold stream =
-  if Stream.length stream = 0 then
-    invalid_arg "Simulation.run_ds: empty stream";
-  let r =
-    run ?cost_model ?transport ?seed ?checkpoints ?sink ?spans ?faults
-      (Query.ds ~theta ~threshold algorithm)
-      stream
-  in
-  let level, sample, max_count_error =
-    match r.aux with
-    | Ds_aux { level; sample; max_count_error } ->
-      (level, sample, max_count_error)
-    | _ -> assert false
-  in
-  {
-    ds_algorithm = algorithm;
-    ds_updates = r.updates;
-    ds_total_bytes = r.total_bytes;
-    ds_bytes_up = r.bytes_up;
-    ds_bytes_down = r.bytes_down;
-    ds_sends = r.sends;
-    ds_final_level = level;
-    ds_final_sample = sample;
-    ds_distinct_estimate = r.final_estimate;
-    ds_bytes_series = r.bytes_series;
-    ds_max_count_error = max_count_error;
-    ds_drops = r.drops;
-    ds_duplicates = r.duplicates;
-    ds_retries = r.retries;
-    ds_lost_updates = r.lost_updates;
-  }
-
-let run_hh ?cost_model ?transport ?item_batching ?seed ?top_k ~algorithm
-    ~theta ~config p =
-  if pair_stream_length p = 0 then
-    invalid_arg "Simulation.run_hh: empty pair stream";
-  let r =
-    run ?cost_model ?transport ?item_batching ?seed ?top_k
-      (Query.hh ~config ~theta algorithm)
-      (stream_of_pairs p)
-  in
-  let avg_norm_error, topk_recall, exact_bytes =
-    match r.aux with
-    | Hh_aux { avg_norm_error; topk_recall; exact_bytes } ->
-      (avg_norm_error, topk_recall, exact_bytes)
-    | _ -> assert false
-  in
-  {
-    hh_algorithm = algorithm;
-    hh_updates = r.updates;
-    hh_total_bytes = r.total_bytes;
-    hh_bytes_up = r.bytes_up;
-    hh_bytes_down = r.bytes_down;
-    hh_sends = r.sends;
-    hh_avg_norm_error = avg_norm_error;
-    hh_topk_recall = topk_recall;
-    hh_exact_bytes = exact_bytes;
   }

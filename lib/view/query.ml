@@ -104,8 +104,8 @@ let dc ?name ?sketch ?estimator ?confidence ?selector ?seed ~theta ~alpha
 let ds ?name ?selector ?seed ~theta ~threshold algorithm =
   make ?name ?selector ?seed ~threshold ~theta ~alpha:0.1 (Ds algorithm)
 
-let hh ?name ?config ?selector ?seed ~theta algorithm =
-  make ?name ?hh_config:config ?selector ?seed ~theta ~alpha:0.1
+let hh ?name ?config ?selector ?seed ?topk ~theta algorithm =
+  make ?name ?hh_config:config ?selector ?seed ?topk ~theta ~alpha:0.1
     (Hh algorithm)
 
 let window ?name ?confidence ?selector ?seed ?window:(w = 0) ~theta ~alpha
@@ -301,7 +301,8 @@ let to_spec q =
     let c = q.hh_config in
     add "rows=%d" c.Wd_aggregate.Fm_array.rows;
     add "cols=%d" c.cols;
-    add "bitmaps=%d" c.bitmaps
+    add "bitmaps=%d" c.bitmaps;
+    add "topk=%d" q.topk
   | Yz_hh ->
     add "alpha=%g" q.alpha;
     add "topk=%d" q.topk

@@ -49,7 +49,9 @@ type t = {
   theta : float;
   threshold : int;  (** DS sampler threshold *)
   window : int;  (** window width in updates; [0] = a quarter of the run *)
-  topk : int;  (** YZ-HH coordinator capacity floor / eval top-k *)
+  topk : int;
+      (** HH and YZ-HH evaluation top-k; also the YZ-HH coordinator
+          capacity floor *)
   universe : int;  (** YZ-quantile item domain (rounded up to 2^j) *)
   hh_config : Wd_aggregate.Fm_array.config;
   selector : selector;
@@ -95,6 +97,7 @@ val hh :
   ?config:Wd_aggregate.Fm_array.config ->
   ?selector:selector ->
   ?seed:int ->
+  ?topk:int ->
   theta:float ->
   Wd_protocol.Dc_tracker.algorithm ->
   t
@@ -134,8 +137,9 @@ val yzq :
     ["dc:ls:alpha=0.07,theta=0.03,sketch=fanout,mod=100/7"].  Keys:
     [name], [alpha], [delta], [theta], [sketch] (fm/bjkst/hll/fmc/
     fanout), [est] (classic/mle), [threshold], [window], [rows]/[cols]/
-    [bitmaps] (HH cell array), [topk]/[universe] (the Yi–Zhang
-    families, whose [alg] is always [yz]), [sites=A-B] (inclusive site
+    [bitmaps] (HH cell array), [topk] (HH and YZ-HH evaluation top-k),
+    [universe] (YZ quantiles; the Yi–Zhang families' [alg] is always
+    [yz]), [sites=A-B] (inclusive site
     range), [mod=M/R] (key class), [seed]. *)
 
 val of_spec : string -> (t, string) result

@@ -539,7 +539,8 @@ let record_trace wdmon ~faults ~tag =
   ignore
     (run_cli
        (Printf.sprintf
-          "%s dc --workload http-pairs --scale 0.2 --sites 3 --trace-out %s%s"
+          "%s run dc:ls --workload http-pairs --scale 0.2 --sites 3 \
+           --trace-out %s%s"
           (Filename.quote wdmon) (Filename.quote trace) fault_args));
   trace
 
@@ -623,6 +624,53 @@ let test_top_trace_frame () =
           "missing trace is a clean error" true
           (contains missing "no such trace file"))
 
+(* An unwritable --trace-out or --metrics-out is a clean usage error
+   that names the path, reported before the run starts. *)
+let test_run_bad_outputs () =
+  match wdmon with
+  | None -> Alcotest.skip ()
+  | Some wdmon ->
+    let dir = Filename.get_temp_dir_name () in
+    List.iter
+      (fun flag ->
+        let text =
+          run_cli ~expect_fail:true
+            (Printf.sprintf
+               "%s run dc:ls -w zipf --sites 3 --events 2000 %s %s"
+               (Filename.quote wdmon) flag (Filename.quote dir))
+        in
+        Alcotest.(check bool)
+          (flag ^ ": names the flag and the path") true
+          (contains text flag && contains text dir);
+        Alcotest.(check bool)
+          (flag ^ ": no uncaught exception") false
+          (contains text "Sys_error");
+        Alcotest.(check bool)
+          (flag ^ ": fails before the run") false
+          (contains text "continuous run"))
+      [ "--trace-out"; "--metrics-out" ]
+
+(* wdmon run prints each family's own report rows. *)
+let test_run_family_rows () =
+  match wdmon with
+  | None -> Alcotest.skip ()
+  | Some wdmon ->
+    let run spec args =
+      run_cli
+        (Printf.sprintf "%s run %s %s" (Filename.quote wdmon) spec args)
+    in
+    let ds = run "ds:lco" "-w zipf --sites 3 --events 2000" in
+    List.iter
+      (fun row ->
+        Alcotest.(check bool) ("ds row " ^ row) true (contains ds row))
+      [ "sample size / T"; "sampling level"; "unique-event estimate";
+        "median duplication"; "max count error"; "exact (EDS) bytes" ];
+    let hh = run "hh:ls:topk=5" "--scale 0.05" in
+    List.iter
+      (fun row ->
+        Alcotest.(check bool) ("hh row " ^ row) true (contains hh row))
+      [ "recall@5"; "normalized degree error"; "exact-pair bytes" ]
+
 let () =
   Alcotest.run "eval"
     [
@@ -661,5 +709,8 @@ let () =
           Alcotest.test_case "inspect fault columns" `Quick
             test_inspect_fault_columns;
           Alcotest.test_case "top trace frame" `Quick test_top_trace_frame;
+          Alcotest.test_case "run rejects bad outputs" `Quick
+            test_run_bad_outputs;
+          Alcotest.test_case "run family rows" `Quick test_run_family_rows;
         ] );
     ]

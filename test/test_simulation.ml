@@ -10,7 +10,7 @@ module Http = Wd_workload.Http_trace
 
 let stream = Stream_gen.zipf ~sites:4 ~events:20_000 ~universe:5_000 ()
 
-let test_run_dc_report_consistency () =
+let test_dc_report_consistency () =
   let r =
     Sim.run ~checkpoints:10 (Query.dc ~theta:0.05 ~alpha:0.05 Dc.LS) stream
   in
@@ -38,7 +38,7 @@ let test_run_dc_report_consistency () =
     (Printf.sprintf "final error %.3f within budget" final_err)
     true (final_err < 0.25)
 
-let test_run_dc_deterministic () =
+let test_dc_deterministic () =
   let r1 = Sim.run ~seed:5 (Query.dc ~theta:0.05 ~alpha:0.05 Dc.NS) stream in
   let r2 = Sim.run ~seed:5 (Query.dc ~theta:0.05 ~alpha:0.05 Dc.NS) stream in
   Alcotest.(check int) "same bytes" r1.Sim.total_bytes r2.Sim.total_bytes;
@@ -56,7 +56,7 @@ let ds_aux (r : Sim.run) =
     (level, sample, max_count_error)
   | _ -> Alcotest.fail "ds run must carry Ds_aux"
 
-let test_run_ds_report_consistency () =
+let test_ds_report_consistency () =
   let r = Sim.run (Query.ds ~theta:0.3 ~threshold:64 Ds.LCO) stream in
   let _, sample, max_count_error = ds_aux r in
   Alcotest.(check int) "updates" (Stream.length stream) r.Sim.updates;
@@ -101,7 +101,7 @@ let test_pair_stream_of_requests () =
 
 let hh_config = { Wd_aggregate.Fm_array.rows = 3; cols = 128; bitmaps = 10 }
 
-let test_run_hh_report () =
+let test_hh_report () =
   let cfg = { Http.default with requests = 5_000 } in
   let reqs = Http.generate cfg in
   let p = Sim.pair_stream_of_requests cfg Http.Per_region reqs in
@@ -126,69 +126,21 @@ let test_run_hh_report () =
     true (avg_norm_error < 0.05)
 
 let test_sketch_ablation_runs () =
-  (* The generic runner must work over BJKST and HLL too. *)
-  let module B = Sim.Make_dc (Wd_sketch.Bjkst) in
-  let module H = Sim.Make_dc (Wd_sketch.Hyperloglog) in
-  let rb = B.run ~algorithm:Dc.LS ~theta:0.05 ~alpha:0.05 stream in
-  let rh = H.run ~algorithm:Dc.LS ~theta:0.05 ~alpha:0.05 stream in
+  (* The one driver must work over every pluggable sketch family. *)
   List.iter
-    (fun r ->
+    (fun sketch ->
+      let r =
+        Sim.run (Query.dc ~sketch ~theta:0.05 ~alpha:0.05 Dc.LS) stream
+      in
       let err =
-        Float.abs (r.Sim.dc_final_estimate -. Float.of_int r.Sim.dc_final_truth)
-        /. Float.of_int r.Sim.dc_final_truth
+        Float.abs (r.Sim.final_estimate -. Float.of_int r.Sim.final_truth)
+        /. Float.of_int r.Sim.final_truth
       in
       Alcotest.(check bool)
-        (Printf.sprintf "final error %.3f acceptable" err)
+        (Printf.sprintf "%s: final error %.3f acceptable"
+           (Query.sketch_to_string sketch) err)
         true (err < 0.25))
-    [ rb; rh ]
-
-(* The deprecated wrappers are exercised here ON PURPOSE, and nowhere
-   else: this is the one test that pins them bit-identical to the
-   unified Simulation.run, field by field, so every other caller can
-   migrate with confidence. *)
-module Legacy = struct
-  [@@@ocaml.alert "-deprecated"]
-
-  let run_dc = Sim.run_dc
-  let run_ds = Sim.run_ds
-  let run_hh = Sim.run_hh
-end
-
-let test_legacy_wrappers_bit_identical () =
-  (* DC *)
-  let l = Legacy.run_dc ~seed:5 ~algorithm:Dc.LS ~theta:0.05 ~alpha:0.05 stream in
-  let u = Sim.run ~seed:5 (Query.dc ~theta:0.05 ~alpha:0.05 Dc.LS) stream in
-  Alcotest.(check int) "dc updates" u.Sim.updates l.Sim.dc_updates;
-  Alcotest.(check int) "dc total bytes" u.Sim.total_bytes l.Sim.dc_total_bytes;
-  Alcotest.(check int) "dc bytes up" u.Sim.bytes_up l.Sim.dc_bytes_up;
-  Alcotest.(check int) "dc bytes down" u.Sim.bytes_down l.Sim.dc_bytes_down;
-  Alcotest.(check int) "dc sends" u.Sim.sends l.Sim.dc_sends;
-  Alcotest.(check (float 0.0))
-    "dc estimate" u.Sim.final_estimate l.Sim.dc_final_estimate;
-  Alcotest.(check int) "dc truth" u.Sim.final_truth l.Sim.dc_final_truth;
-  (* DS *)
-  let l = Legacy.run_ds ~seed:5 ~algorithm:Ds.GCS ~theta:0.3 ~threshold:64 stream in
-  let u = Sim.run ~seed:5 (Query.ds ~theta:0.3 ~threshold:64 Ds.GCS) stream in
-  let level, sample, max_count_error = ds_aux u in
-  Alcotest.(check int) "ds total bytes" u.Sim.total_bytes l.Sim.ds_total_bytes;
-  Alcotest.(check int) "ds sends" u.Sim.sends l.Sim.ds_sends;
-  Alcotest.(check int) "ds level" level l.Sim.ds_final_level;
-  Alcotest.(check bool) "ds sample" true (sample = l.Sim.ds_final_sample);
-  Alcotest.(check (float 0.0))
-    "ds estimate" u.Sim.final_estimate l.Sim.ds_distinct_estimate;
-  Alcotest.(check (float 0.0))
-    "ds count error" max_count_error l.Sim.ds_max_count_error;
-  (* HH *)
-  let cfg = { Http.default with requests = 2_000 } in
-  let p = Sim.pair_stream_of_requests cfg Http.Per_region (Http.generate cfg) in
-  let l = Legacy.run_hh ~seed:5 ~algorithm:Dc.LS ~theta:0.2 ~config:hh_config p in
-  let u =
-    Sim.run ~seed:5
-      (Query.hh ~theta:0.2 ~config:hh_config Dc.LS)
-      (Sim.stream_of_pairs p)
-  in
-  Alcotest.(check int) "hh total bytes" u.Sim.total_bytes l.Sim.hh_total_bytes;
-  Alcotest.(check int) "hh sends" u.Sim.sends l.Sim.hh_sends
+    [ Query.Bjkst; Query.Hll; Query.Fmc ]
 
 let () =
   Alcotest.run "simulation"
@@ -196,15 +148,15 @@ let () =
       ( "dc",
         [
           Alcotest.test_case "report consistency" `Quick
-            test_run_dc_report_consistency;
-          Alcotest.test_case "deterministic" `Quick test_run_dc_deterministic;
+            test_dc_report_consistency;
+          Alcotest.test_case "deterministic" `Quick test_dc_deterministic;
           Alcotest.test_case "exact bytes closed form" `Quick
             test_exact_dc_bytes_matches_ec_run;
         ] );
       ( "ds",
         [
           Alcotest.test_case "report consistency" `Quick
-            test_run_ds_report_consistency;
+            test_ds_report_consistency;
           Alcotest.test_case "exact bytes closed form" `Quick
             test_exact_ds_bytes_matches_eds_run;
         ] );
@@ -214,12 +166,7 @@ let () =
           Alcotest.test_case "pair stream" `Quick test_pair_stream_of_requests;
         ] );
       ( "hh",
-        [ Alcotest.test_case "report" `Quick test_run_hh_report ] );
+        [ Alcotest.test_case "report" `Quick test_hh_report ] );
       ( "ablation",
         [ Alcotest.test_case "other sketches" `Quick test_sketch_ablation_runs ] );
-      ( "legacy",
-        [
-          Alcotest.test_case "wrappers = unified run" `Quick
-            test_legacy_wrappers_bit_identical;
-        ] );
     ]

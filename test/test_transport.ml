@@ -303,7 +303,7 @@ let reap pids =
       | _, _ -> Alcotest.fail "relay exited abnormally")
     pids
 
-let run_dc ?transport ?topology ?(faults = Faults.none) ?sink () =
+let drive_dc ?transport ?topology ?(faults = Faults.none) ?sink () =
   Simulation.run ~seed:7 ?transport ?topology ~faults ?sink
     (Query.dc ~theta:0.015 ~alpha:0.085 Dc.LS)
     (Lazy.force stream)
@@ -346,7 +346,7 @@ let socket_run ?topology ?faults ?sink () =
   let pids = spawn_relays ~path in
   let coord = Socket.Coordinator.connect ~path ~sites () in
   let transport = Socket.Coordinator.pack coord in
-  let r = run_dc ~transport ?topology ?faults ?sink () in
+  let r = drive_dc ~transport ?topology ?faults ?sink () in
   reap pids;
   let ws = Option.get (Transport.wire_stats transport) in
   reconcile coord ws (Transport.ledger transport);
@@ -430,7 +430,7 @@ let reconcile_tcp coord ws net =
 let tcp_run ?topology ?faults ?sink () =
   let coord, pids = tcp_coordinator ~sites () in
   let transport = Tcp.Coordinator.pack coord in
-  let r = run_dc ~transport ?topology ?faults ?sink () in
+  let r = drive_dc ~transport ?topology ?faults ?sink () in
   reap pids;
   let ws = Option.get (Transport.wire_stats transport) in
   reconcile_tcp coord ws (Transport.ledger transport);
@@ -479,7 +479,7 @@ let check_runs_equal (a : Simulation.run) (b : Simulation.run) =
     b.Simulation.lost_updates
 
 let test_sim_socket_equivalence () =
-  let r_sim = run_dc () in
+  let r_sim = drive_dc () in
   let r_sock, ws = socket_run () in
   check_runs_equal r_sim r_sock;
   Alcotest.(check int) "no reconnects" 0 ws.Transport.reconnects;
@@ -494,7 +494,7 @@ let test_sim_socket_equivalence () =
    event traces. *)
 let test_three_way_dc_equivalence () =
   let ring_sim = Sink.ring ~capacity:trace_capacity in
-  let r_sim = run_dc ~sink:ring_sim () in
+  let r_sim = drive_dc ~sink:ring_sim () in
   let ring_sock = Sink.ring ~capacity:trace_capacity in
   let r_sock, _ = socket_run ~sink:ring_sock () in
   let ring_tcp = Sink.ring ~capacity:trace_capacity in
@@ -517,7 +517,7 @@ let crash_faults () =
   | Error e -> Alcotest.fail e
 
 let test_crash_reconnect_equivalence () =
-  let r_sim = run_dc ~faults:(crash_faults ()) () in
+  let r_sim = drive_dc ~faults:(crash_faults ()) () in
   let r_sock, ws = socket_run ~faults:(crash_faults ()) () in
   check_runs_equal r_sim r_sock;
   Alcotest.(check bool) "run actually lost updates" true
@@ -530,7 +530,7 @@ let test_crash_reconnect_equivalence () =
    the skipped/reconnect accounting must still match both the simulator
    and the socket backend's real disconnections, frame for frame. *)
 let test_tcp_crash_reconnect_equivalence () =
-  let r_sim = run_dc ~faults:(crash_faults ()) () in
+  let r_sim = drive_dc ~faults:(crash_faults ()) () in
   let r_sock, ws_sock = socket_run ~faults:(crash_faults ()) () in
   let r_tcp, ws_tcp = tcp_run ~faults:(crash_faults ()) () in
   check_runs_equal r_sim r_tcp;
@@ -547,7 +547,7 @@ let test_tcp_crash_reconnect_equivalence () =
 
 (* --- three-way battery: DS and HH cells --- *)
 
-let run_ds ?transport ?topology () =
+let drive_ds ?transport ?topology () =
   Simulation.run ~seed:7 ?transport ?topology
     (Query.ds ~theta:0.25 ~threshold:256 Ds.GCS)
     (Lazy.force stream)
@@ -591,12 +591,12 @@ let with_tcp_transport ~sites f =
   r
 
 let test_three_way_ds_equivalence () =
-  let r_sim = run_ds () in
+  let r_sim = drive_ds () in
   let r_sock =
-    with_socket_transport ~sites (fun transport -> run_ds ~transport ())
+    with_socket_transport ~sites (fun transport -> drive_ds ~transport ())
   in
   let r_tcp =
-    with_tcp_transport ~sites (fun transport -> run_ds ~transport ())
+    with_tcp_transport ~sites (fun transport -> drive_ds ~transport ())
   in
   Alcotest.(check bool) "ds paid communication" true
     (r_sim.Simulation.total_bytes > 0);
@@ -609,7 +609,7 @@ let hh_inputs =
      let p = Simulation.pair_stream_of_requests cfg Http.Per_region (Http.generate cfg) in
      (p, Simulation.pair_stream_sites p))
 
-let run_hh ?transport ?topology () =
+let drive_hh ?transport ?topology () =
   let p, _ = Lazy.force hh_inputs in
   Simulation.run ~seed:7 ?transport ?topology
     (Query.hh ~theta:0.2
@@ -619,13 +619,13 @@ let run_hh ?transport ?topology () =
 
 let test_three_way_hh_equivalence () =
   let _, hh_sites = Lazy.force hh_inputs in
-  let r_sim = run_hh () in
+  let r_sim = drive_hh () in
   let r_sock =
     with_socket_transport ~sites:hh_sites (fun transport ->
-        run_hh ~transport ())
+        drive_hh ~transport ())
   in
   let r_tcp =
-    with_tcp_transport ~sites:hh_sites (fun transport -> run_hh ~transport ())
+    with_tcp_transport ~sites:hh_sites (fun transport -> drive_hh ~transport ())
   in
   Alcotest.(check bool) "hh paid communication" true
     (r_sim.Simulation.total_bytes > 0);
@@ -646,7 +646,7 @@ let tree_topo () =
 let test_three_way_tree_dc_equivalence () =
   let topology = tree_topo () in
   Alcotest.(check int) "depth 2" 2 (Wd_net.Topology.depth topology);
-  let r_sim = run_dc ~topology () in
+  let r_sim = drive_dc ~topology () in
   let r_sock, _ = socket_run ~topology () in
   let r_tcp, _ = tcp_run ~topology () in
   check_runs_equal r_sim r_sock;
@@ -654,7 +654,7 @@ let test_three_way_tree_dc_equivalence () =
   Alcotest.(check bool) "backbone paid" true
     (r_sim.Simulation.backbone_bytes > 0);
   (* The tree only adds backbone charges on top of the flat run. *)
-  let r_flat = run_dc () in
+  let r_flat = drive_dc () in
   Alcotest.(check int) "site-link bytes unchanged by the tree"
     r_flat.Simulation.total_bytes r_sim.Simulation.total_bytes;
   Alcotest.(check (float 0.0))
@@ -674,7 +674,7 @@ let agg_crash_faults topology =
 
 let test_tcp_tree_aggregator_crash () =
   let topology = tree_topo () in
-  let r_sim = run_dc ~topology ~faults:(agg_crash_faults topology) () in
+  let r_sim = drive_dc ~topology ~faults:(agg_crash_faults topology) () in
   let r_tcp, _ =
     tcp_run ~topology ~faults:(agg_crash_faults topology) ()
   in
@@ -684,7 +684,7 @@ let test_tcp_tree_aggregator_crash () =
   (* The crash must actually have been exercised: frames charged into
      the dead aggregator were lost, so the answer still lands but the
      run is not byte-identical to the fault-free tree run. *)
-  let r_clean = run_dc ~topology () in
+  let r_clean = drive_dc ~topology () in
   Alcotest.(check bool) "aggregator crash changed the run" true
     (r_sim.Simulation.backbone_bytes <> r_clean.Simulation.backbone_bytes
     || r_sim.Simulation.total_bytes <> r_clean.Simulation.total_bytes)

@@ -121,7 +121,7 @@ let sample_queries =
       ~selector:(Query.Key_mod { modulus = 2; residue = 1 })
       ~theta:0.2 ~threshold:32 Ds.GCS;
     Query.hh ~theta:0.1 Dc.LS;
-    Query.hh
+    Query.hh ~topk:10
       ~config:{ Wd_aggregate.Fm_array.rows = 2; cols = 100; bitmaps = 8 }
       ~theta:0.2 Dc.NS;
     Query.window ~theta:0.05 ~alpha:0.1 ~window:5_000 W.LS;
@@ -386,9 +386,6 @@ let test_registry_validation () =
   raises "residue >= modulus" (fun () ->
       Registry.create ~seed:1 ~sites:4
         [ { dc with Query.selector = Query.Key_mod { modulus = 3; residue = 3 } } ]);
-  raises "shards with a fanout view" (fun () ->
-      Registry.create ~seed:1 ~sites:4 ~shards:2
-        [ dc; { dc with Query.sketch = Query.Fanout } ]);
   raises "window query needs a width" (fun () ->
       Registry.create ~seed:1 ~sites:4
         [ Query.window ~theta:0.05 ~alpha:0.1 W.LS ])
