@@ -145,30 +145,152 @@ let pair_stream_of_requests cfg site_view reqs =
   done;
   { psites; vs; ws }
 
+(* ------------------------------------------------------------------ *)
+(* Exact counts: the harness's ground truth. *)
+
+module Truth_table = struct
+  (* Open addressing with linear probing over a flat [int array] of
+     keys, with free slots holding the sentinel [empty].  A parallel
+     [counts] array holds each key's multiplicity, only when the table
+     was created with [~counts:true].  Items can be any int, so the item
+     equal to the sentinel lives outside the arrays: [sentinel_count] is
+     its multiplicity.  Load stays at most 3/4.  Plain arrays, not
+     Bigarrays, so the table counts towards the OCaml heap. *)
+  let empty = min_int
+
+  type t = {
+    mutable keys : int array;
+    mutable counts : int array; (* [||] without multiplicities *)
+    with_counts : bool;
+    mutable shift : int; (* 63 - log2 capacity *)
+    mutable size : int; (* occupied slots *)
+    mutable sentinel_count : int;
+  }
+
+  let create ~counts n =
+    let cap = ref 16 and bits = ref 4 in
+    while 3 * !cap < 4 * n do
+      cap := 2 * !cap;
+      incr bits
+    done;
+    {
+      keys = Array.make !cap empty;
+      counts = (if counts then Array.make !cap 0 else [||]);
+      with_counts = counts;
+      shift = 63 - !bits;
+      size = 0;
+      sentinel_count = 0;
+    }
+
+  let capacity t = Array.length t.keys
+
+  (* Fibonacci hashing: the top bits of the key times an odd constant,
+     so keys in arithmetic progressions (item ids, packed pairs) spread
+     over the whole array. *)
+  let[@inline] home t key = (key * 0x2545F4914F6CDD1D) lsr t.shift
+
+  (* The slot holding [key], or the free slot where it belongs. *)
+  let[@inline] slot t key =
+    let keys = t.keys in
+    let mask = Array.length keys - 1 in
+    let i = ref (home t key) in
+    while
+      let k = Array.unsafe_get keys !i in
+      k <> key && k <> empty
+    do
+      i := (!i + 1) land mask
+    done;
+    !i
+
+  let grow t =
+    let keys = t.keys and counts = t.counts in
+    let cap = 2 * Array.length keys in
+    t.keys <- Array.make cap empty;
+    if t.with_counts then t.counts <- Array.make cap 0;
+    t.shift <- t.shift - 1;
+    for i = 0 to Array.length keys - 1 do
+      let key = Array.unsafe_get keys i in
+      if key <> empty then begin
+        let j = slot t key in
+        Array.unsafe_set t.keys j key;
+        if t.with_counts then
+          Array.unsafe_set t.counts j (Array.unsafe_get counts i)
+      end
+    done
+
+  let add t key =
+    if key = empty then begin
+      t.sentinel_count <- t.sentinel_count + 1;
+      t.sentinel_count = 1
+    end
+    else begin
+      let i = slot t key in
+      if Array.unsafe_get t.keys i = key then begin
+        if t.with_counts then
+          Array.unsafe_set t.counts i (Array.unsafe_get t.counts i + 1);
+        false
+      end
+      else begin
+        Array.unsafe_set t.keys i key;
+        if t.with_counts then Array.unsafe_set t.counts i 1;
+        t.size <- t.size + 1;
+        if 4 * t.size > 3 * Array.length t.keys then grow t;
+        true
+      end
+    end
+
+  let length t = t.size + if t.sentinel_count > 0 then 1 else 0
+
+  (* A present key's multiplicity is 1 when counts are not kept. *)
+  let multiplicity t n = if t.with_counts || n = 0 then n else 1
+
+  let find t key =
+    if key = empty then multiplicity t t.sentinel_count
+    else
+      let i = slot t key in
+      if Array.unsafe_get t.keys i <> key then 0
+      else if t.with_counts then Array.unsafe_get t.counts i
+      else 1
+
+  let fold f t acc =
+    let acc = ref acc in
+    Array.iteri
+      (fun i key ->
+        if key <> empty then
+          acc := f key (if t.with_counts then t.counts.(i) else 1) !acc)
+      t.keys;
+    if t.sentinel_count > 0 then
+      f empty (multiplicity t t.sentinel_count) !acc
+    else !acc
+end
+
 let true_distinct_prefixes stream ~samples =
   let n = Stream.length stream in
   let at = cursor_matcher (sample_positions n samples) in
-  let seen = Hashtbl.create 4096 in
+  let seen = Truth_table.create ~counts:false 4096 in
   let out = ref [] in
   Stream.iteri
     (fun j0 ~site:_ ~item ->
-      if not (Hashtbl.mem seen item) then Hashtbl.replace seen item ();
-      if at (j0 + 1) then out := (j0 + 1, Hashtbl.length seen) :: !out)
+      ignore (Truth_table.add seen item : bool);
+      if at (j0 + 1) then out := (j0 + 1, Truth_table.length seen) :: !out)
     stream;
   Array.of_list (List.rev !out)
 
-let exact_dc_bytes stream =
+(* EC baseline: one message of [payload] bytes per locally-new item. *)
+let exact_bytes_per_new ~payload stream =
   let k = Stream.num_sites stream in
-  let seen = Array.init (max 1 k) (fun _ -> Hashtbl.create 1024) in
+  let seen =
+    Array.init (max 1 k) (fun _ -> Truth_table.create ~counts:false 512)
+  in
   let bytes = ref 0 in
   Stream.iter
     (fun ~site ~item ->
-      if not (Hashtbl.mem seen.(site) item) then begin
-        Hashtbl.replace seen.(site) item ();
-        bytes := !bytes + Wire.message ~payload:Wire.item_bytes
-      end)
+      if Truth_table.add seen.(site) item then
+        bytes := !bytes + Wire.message ~payload)
     stream;
   !bytes
+
+let exact_dc_bytes stream = exact_bytes_per_new ~payload:Wire.item_bytes stream
 
 let exact_ds_bytes stream =
   Stream.length stream * Wire.message ~payload:Wire.item_bytes
@@ -243,17 +365,7 @@ let stream_of_pairs p =
 (* EC baseline over a packed pair stream: one message per locally-new
    pair, both halves on the wire (as [exact_pair_bytes]). *)
 let exact_packed_pair_bytes stream =
-  let k = Stream.num_sites stream in
-  let seen = Array.init (max 1 k) (fun _ -> Hashtbl.create 1024) in
-  let bytes = ref 0 in
-  Stream.iter
-    (fun ~site ~item ->
-      if not (Hashtbl.mem seen.(site) item) then begin
-        Hashtbl.replace seen.(site) item ();
-        bytes := !bytes + Wire.message ~payload:(2 * Wire.item_bytes)
-      end)
-    stream;
-  !bytes
+  exact_bytes_per_new ~payload:(2 * Wire.item_bytes) stream
 
 let run ?(cost_model = Network.Unicast) ?transport ?topology
     ?(item_batching = true) ?(seed = 1) ?(checkpoints = 20)
@@ -318,24 +430,31 @@ let run ?(cost_model = Network.Unicast) ?transport ?topology
         metrics
     else None
   in
-  (* Ground truth over arrivals that reached the system: multiplicities
-     (DS needs counts; the table's size is the distinct truth), a
-     windowed structure for window queries, and the surviving arrival
-     order for HH degree evaluation. *)
-  let truth = Hashtbl.create 4096 in
+  (* Ground truth over arrivals that reached the system: the distinct
+     items (the table's length is the distinct truth), with their
+     multiplicities only where the query family reads them (DS count
+     errors, the YZ-HH top-k), a windowed structure for window queries,
+     and the surviving arrival order for HH degree evaluation. *)
+  let truth =
+    let counts =
+      match query.Query.protocol with
+      | Query.Ds _ | Query.Yz_hh -> true
+      | Query.Dc _ | Query.Hh _ | Query.Window _ | Query.Yz_q -> false
+    in
+    Truth_table.create ~counts 4096
+  in
   let wtruth = if is_window then Some (Window_truth.create ()) else None in
   let hh_log = ref [] in
   let arrivals = ref 0 in
   (* YZ-quantile truth is over the tracker's folded item domain. *)
   let yzq = if is_yzq then Registry.yzq_tracker reg 0 else None in
-  let qtruth = Hashtbl.create (if is_yzq then 4096 else 1) in
+  let qtruth = Truth_table.create ~counts:false (if is_yzq then 4096 else 0) in
   let on_arrival item =
     incr arrivals;
-    Hashtbl.replace truth item
-      (1 + Option.value ~default:0 (Hashtbl.find_opt truth item));
+    ignore (Truth_table.add truth item : bool);
     (match wtruth with Some w -> Window_truth.add w item | None -> ());
     (match yzq with
-    | Some qt -> Hashtbl.replace qtruth (Yzq.clamp qt item) ()
+    | Some qt -> ignore (Truth_table.add qtruth (Yzq.clamp qt item) : bool)
     | None -> ());
     if is_hh then hh_log := item :: !hh_log
   in
@@ -344,8 +463,8 @@ let run ?(cost_model = Network.Unicast) ?transport ?topology
     | Some w -> Window_truth.distinct_last w resolved_window
     | None ->
       if is_yzhh then !arrivals
-      else if is_yzq then Hashtbl.length qtruth
-      else Hashtbl.length truth
+      else if is_yzq then Truth_table.length qtruth
+      else Truth_table.length truth
   in
   let byte_positions = sample_positions n checkpoints in
   let err_positions =
@@ -377,9 +496,9 @@ let run ?(cost_model = Network.Unicast) ?transport ?topology
       let max_count_error =
         List.fold_left
           (fun acc (v, c) ->
-            match Hashtbl.find_opt truth v with
-            | None -> acc (* cannot happen: sampled items are in the stream *)
-            | Some c_true ->
+            match Truth_table.find truth v with
+            | 0 -> acc (* cannot happen: sampled items are in the stream *)
+            | c_true ->
               Float.max acc
                 (Float.abs (Float.of_int (c - c_true))
                 /. Float.of_int c_true))
@@ -445,9 +564,12 @@ let run ?(cost_model = Network.Unicast) ?transport ?topology
     else if is_yzhh then begin
       let h = Option.get (Registry.yzhh_tracker reg 0) in
       let n_total = max 1 !arrivals in
+      (* Count descending, ties by item ascending: the top-k does not
+         depend on the table's slot order. *)
       let exact_top =
-        Hashtbl.fold (fun v c acc -> (v, c) :: acc) truth []
-        |> List.sort (fun (_, a) (_, b) -> compare b a)
+        Truth_table.fold (fun v c acc -> (v, c) :: acc) truth []
+        |> List.sort (fun (va, a) (vb, b) ->
+               if a <> b then Int.compare b a else Int.compare va vb)
         |> List.filteri (fun i _ -> i < top_k)
       in
       (* Yi–Zhang errors are additive in eps * N: report them
@@ -484,9 +606,11 @@ let run ?(cost_model = Network.Unicast) ?transport ?topology
     else if is_yzq then begin
       let qt = Option.get (Registry.yzq_tracker reg 0) in
       let m = Yzq.quantile qt 0.5 in
-      let d = Hashtbl.length qtruth in
+      let d = Truth_table.length qtruth in
       let below =
-        Hashtbl.fold (fun v () acc -> if v <= m then acc + 1 else acc) qtruth 0
+        Truth_table.fold
+          (fun v _ acc -> if v <= m then acc + 1 else acc)
+          qtruth 0
       in
       let rank_error =
         if d = 0 then 0.0

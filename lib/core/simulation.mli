@@ -182,6 +182,39 @@ val stream_of_pairs : pair_stream -> Stream.t
 
 (** {1 Ground truth helpers} *)
 
+(** The harness's exact-count table: every exact count {!run} and the
+    helpers below report comes from it.  Open addressing with linear
+    probing over a flat [int array], so adding an item allocates nothing
+    between resizes.  Keys are any [int]. *)
+module Truth_table : sig
+  type t
+
+  val create : counts:bool -> int -> t
+  (** [create ~counts n] is an empty table sized for [n] keys before
+      its first resize.  With [~counts:false] it keeps the keys only. *)
+
+  val add : t -> int -> bool
+  (** [add t v] records one arrival of [v]; [true] iff [v] was absent. *)
+
+  val length : t -> int
+  (** Number of distinct keys. *)
+
+  val find : t -> int -> int
+  (** [find t v] is the multiplicity of [v], [0] when absent.  Without
+      counts every present key has multiplicity [1]. *)
+
+  val fold : (int -> int -> 'a -> 'a) -> t -> 'a -> 'a
+  (** [fold f t init] folds [f key multiplicity] over the keys, in an
+      unspecified order. *)
+
+  val capacity : t -> int
+  (** Number of slots (a power of two). *)
+
+  val home : t -> int -> int
+  (** [home t v] is the slot where probing for [v] starts, in
+      [\[0, capacity t)]; exposed so tests can build colliding keys. *)
+end
+
 val true_distinct_prefixes : Stream.t -> samples:int -> (int * int) array
 (** Exact distinct counts at [samples] evenly spaced prefixes. *)
 

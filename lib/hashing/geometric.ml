@@ -15,32 +15,13 @@ let trailing_zeros w =
     !n
   end
 
-(* Same byte-stepped loop on a native int (63 significant bits).  All
-   operations are unboxed machine arithmetic, so callers on sketch update
-   paths pay no Int64 allocation.  [lsr] is a logical shift, so the sign
-   bit of a negative word is treated as an ordinary data bit. *)
-let trailing_zeros_int w =
-  if w = 0 then 63
-  else begin
-    let w = ref w and n = ref 0 in
-    while !w land 0xFF = 0 do
-      w := !w lsr 8;
-      n := !n + 8
-    done;
-    while !w land 1 = 0 do
-      w := !w lsr 1;
-      incr n
-    done;
-    !n
-  end
+let trailing_zeros_int = Bits.trailing_zeros_int
 
-(* [Int64.to_int] keeps exactly the low 63 bits of the hash.  When any of
-   them is set, the trailing-zero count of the full word equals that of
-   the truncated word (< 63).  When all are zero the full count is 63 or
-   64, and the cap makes both answers 63 — so the native-int fast path is
-   bit-for-bit the old [min 63 (trailing_zeros (hash64 h v))]. *)
-let level64 h v =
-  let low = Int64.to_int (Universal.hash64 h v) in
+(* [Universal.low_bits] is exactly the low 63 bits of the hash.  When any
+   of them is set, the trailing-zero count of the full word equals that
+   of the truncated word (< 63).  When all are zero the full count is 63
+   or 64, and the cap makes both answers 63 — so this is bit for bit
+   [min 63 (trailing_zeros (Universal.hash h v))]. *)
+let level h v =
+  let low = Universal.low_bits h v in
   if low = 0 then 63 else trailing_zeros_int low
-
-let level h v = level64 h (Int64.of_int v)

@@ -14,7 +14,9 @@ let create rng =
     mix = Array.init derived_chars (fun _ -> table ());
   }
 
-let hash64 t x =
+(* Inlined into every entry point, so that [split] keeps the word in a
+   register until it returns a native int (see [Universal.word]). *)
+let[@inline] word t x =
   let v = ref 0L and d = ref 0L in
   for byte = 0 to 7 do
     let idx =
@@ -31,7 +33,16 @@ let hash64 t x =
   done;
   !v
 
-let hash t x = hash64 t (Int64.of_int x)
+let hash64 t x = word t x
+
+let hash t x = word t (Int64.of_int x)
+
+let split t x =
+  let h = word t (Int64.of_int x) in
+  let high = Int64.to_int (Int64.shift_right_logical h 32) in
+  let low = Int64.to_int h land 0xFFFFFFFF in
+  let level = if low = 0 then 32 else Bits.trailing_zeros_int low in
+  (high lsl 6) lor level
 
 let concentrated_buckets ~alpha ~delta =
   if alpha <= 0.0 || alpha >= 1.0 then

@@ -35,6 +35,14 @@ val hash64 : t -> int64 -> int64
     producing the value word and the derived-character word, then
     {!derived_chars} further lookups XORed into the value word. *)
 
+val split : t -> int -> int
+(** [split h x] is the PCSA split of [hash h x], packed in a native int
+    as [(high lsl 6) lor level]: [high] is the top 32 bits of the word,
+    and [level] is the trailing-zero count of the low 32 bits, capped at
+    32.  The word is reduced inside this module, so a call allocates
+    nothing; this is the entry point the concentrated-FM update paths
+    hash through. *)
+
 val concentrated_buckets : alpha:float -> delta:float -> int
 (** The single-repetition sizing rule.  With a concentrated hash the
     relative error of a one-pass PCSA-style sketch with [m] buckets obeys

@@ -20,11 +20,32 @@ val multiply_shift : Rng.t -> t
     family: [h(x) = (a*x + b) >>> 0] over 64-bit arithmetic with odd [a]. *)
 
 val hash : t -> int -> int64
-(** [hash h x] applies [h] to the (non-negative) integer key [x]. *)
+(** [hash h x] applies [h] to the integer key [x], sign-extended to 64
+    bits: [hash64 h (Int64.of_int x)]. *)
 
 val hash64 : t -> int64 -> int64
 (** [hash64 h x] applies [h] to a raw 64-bit key. *)
 
+(** {1 Native-int entry points}
+
+    The sketch update paths hash through these.  Each computes the
+    64-bit word and reduces it to a native [int] inside this module, so
+    the word is never boxed and a call allocates nothing, also in the
+    dev profile, where [-opaque] stops inlining across modules. *)
+
+val low_bits : t -> int -> int
+(** [low_bits h x] is the low 63 bits of [hash h x]:
+    [Int64.to_int (hash h x)]. *)
+
 val to_range : t -> buckets:int -> int -> int
-(** [to_range h ~buckets x] maps [x] uniformly onto [\[0, buckets)].
+(** [to_range h ~buckets x] maps [x] uniformly onto [\[0, buckets)]:
+    the high 62 bits of [hash h x] modulo [buckets], i.e.
+    [Int64.to_int (Int64.shift_right_logical (hash h x) 2) mod buckets].
     Requires [buckets > 0]. *)
+
+val bucket_rank : t -> log2m:int -> int -> int
+(** [bucket_rank h ~log2m x] is the HyperLogLog split of [hash h x],
+    packed as [(j lsl 6) lor rank]: [j] is the top [log2m] bits of the
+    word, and [rank] is one plus the trailing-zero count of the
+    remaining [64 - log2m] low bits, capped at 63 (63 when those bits
+    are all zero).  Requires [1 <= log2m <= 56]. *)

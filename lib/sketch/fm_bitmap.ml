@@ -48,6 +48,20 @@ let merge_into ~dst src =
   dst.lo <- dst.lo lor src.lo;
   dst.hi <- dst.hi lor src.hi
 
+(* Inlined: [Fm.delta_bytes] calls [missing] once per bitmap when an
+   LS reply is priced, and a call per bitmap costs more than the loop,
+   which usually runs zero or one times. *)
+let[@inline] popcount x =
+  let x = ref x and n = ref 0 in
+  while !x <> 0 do
+    x := !x land (!x - 1);
+    incr n
+  done;
+  !n
+
+let[@inline] missing ~from t =
+  popcount (t.lo land lnot from.lo) + popcount (t.hi land lnot from.hi)
+
 let equal a b = a.lo = b.lo && a.hi = b.hi
 
 let is_empty t = t.lo = 0 && t.hi = 0

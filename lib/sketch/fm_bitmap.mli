@@ -34,6 +34,10 @@ val estimate : t -> float
 val merge_into : dst:t -> t -> unit
 (** Bitwise OR: the merged bitmap summarizes the union of the item sets. *)
 
+val missing : from:t -> t -> int
+(** [missing ~from t] is the number of bits set in [t] and unset in
+    [from].  Works on the native halves, so it allocates nothing. *)
+
 val equal : t -> t -> bool
 
 val is_empty : t -> bool

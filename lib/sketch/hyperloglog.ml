@@ -1,6 +1,5 @@
 module Rng = Wd_hashing.Rng
 module Universal = Wd_hashing.Universal
-module Geometric = Wd_hashing.Geometric
 
 type family = {
   m : int;
@@ -51,21 +50,11 @@ let create fam = { fam; regs = Bytes.make fam.m '\000'; scratch = Array.make 64 
 
 let copy t = { t with regs = Bytes.copy t.regs; scratch = Array.make 64 0 }
 
-(* Bucket from the top log2m bits; rank from the remaining low bits.  The
-   low [64 - log2m <= 60] bits fit a native int, so the rank (a
-   trailing-zero count of those bits, 1-based) needs no Int64 loop: when
-   they are all zero the old 64-bit count was [>= 64 - log2m] and the
-   [min 63] cap produced the same 63 the fast path returns. *)
+(* Bucket from the top log2m bits; rank from the remaining low bits, as
+   packed by [Universal.bucket_rank]: [(j lsl 6) lor rank]. *)
 let add t v =
-  let fam = t.fam in
-  let log2m = fam.log2m in
-  let h = Universal.hash fam.hash v in
-  let j = Int64.to_int (Int64.shift_right_logical h (64 - log2m)) in
-  let rest = Int64.to_int h land ((1 lsl (64 - log2m)) - 1) in
-  let rank =
-    if rest = 0 then 63
-    else min 63 (1 + Geometric.trailing_zeros_int rest)
-  in
+  let s = Universal.bucket_rank t.fam.hash ~log2m:t.fam.log2m v in
+  let j = s lsr 6 and rank = s land 63 in
   (* j < 2^log2m = m = |regs| by construction. *)
   if rank > Char.code (Bytes.unsafe_get t.regs j) then begin
     Bytes.unsafe_set t.regs j (Char.unsafe_chr rank);
@@ -79,17 +68,10 @@ let add_batch t vs =
   let fam = t.fam in
   let hash = fam.hash in
   let log2m = fam.log2m in
-  let shift = 64 - log2m in
-  let low_mask = (1 lsl shift) - 1 in
   let regs = t.regs in
   for i = 0 to Array.length vs - 1 do
-    let h = Universal.hash hash (Array.unsafe_get vs i) in
-    let j = Int64.to_int (Int64.shift_right_logical h shift) in
-    let rest = Int64.to_int h land low_mask in
-    let rank =
-      if rest = 0 then 63
-      else min 63 (1 + Geometric.trailing_zeros_int rest)
-    in
+    let s = Universal.bucket_rank hash ~log2m (Array.unsafe_get vs i) in
+    let j = s lsr 6 and rank = s land 63 in
     if rank > Char.code (Bytes.unsafe_get regs j) then
       Bytes.unsafe_set regs j (Char.unsafe_chr rank)
   done

@@ -8,19 +8,19 @@ type plane = {
   hash : Mixed_tabulation.t;
   arena : Arena.t;
   mutable memo_key : int;
-  mutable memo_hash : int64;
+  mutable memo_split : int; (* [Mixed_tabulation.split hash memo_key] *)
   scratch : int array; (* shared MLE counts buffer, as in {!Fm} *)
 }
 
 let plane ?capacity ~rng () =
   let hash = Mixed_tabulation.create rng in
-  (* Invariant: [memo_hash = hash memo_key], established here so the
-     memo needs no validity flag or sentinel branch. *)
+  (* Invariant: [memo_split = split hash memo_key], established here so
+     the memo needs no validity flag or sentinel branch. *)
   {
     hash;
     arena = Arena.create ?capacity ();
     memo_key = min_int;
-    memo_hash = Mixed_tabulation.hash hash min_int;
+    memo_split = Mixed_tabulation.split hash min_int;
     scratch = Array.make 65 0;
   }
 
@@ -79,25 +79,25 @@ let copy t =
 (* One memoized mixed-tabulation hash per item per plane: the first
    sketch to see an item pays the hash, every other sketch on the plane
    hits the memo.  Correct because the memo invariant
-   [memo_hash = hash memo_key] holds from construction on. *)
-let hash_item p v =
-  if p.memo_key = v then p.memo_hash
+   [memo_split = split hash memo_key] holds from construction on.  The
+   memo holds the packed native split, so storing it allocates
+   nothing. *)
+let split_item p v =
+  if p.memo_key = v then p.memo_split
   else begin
-    let h = Mixed_tabulation.hash p.hash v in
+    let s = Mixed_tabulation.split p.hash v in
     p.memo_key <- v;
-    p.memo_hash <- h;
-    h
+    p.memo_split <- s;
+    s
   end
 
-(* Bucket/level split identical to {!Wd_sketch.Fm_concentrated.coords}:
+(* Bucket/level split identical to {!Wd_sketch.Fm_concentrated.add}:
    bucket from the high 32 bits (mod m), level from the trailing zeros
    of the low 32 bits, capped at 32 — so a register needs 33 bits. *)
 let add t v =
   let p = t.fam.plane in
-  let h = hash_item p v in
-  let j = Int64.to_int (Int64.shift_right_logical h 32) mod t.fam.m in
-  let low = Int64.to_int h land 0xFFFFFFFF in
-  let level = if low = 0 then 32 else Geometric.trailing_zeros_int low in
+  let s = split_item p v in
+  let j = (s lsr 6) mod t.fam.m and level = s land 63 in
   let idx = t.off + j in
   let r = Arena.unsafe_get p.arena idx in
   let bit = 1 lsl level in

@@ -205,6 +205,44 @@ let prop_hll_merge_direct =
       Hll.merge_into ~dst:a b;
       Hll.equal a d)
 
+(* --- Allocation: add_batch on a warmed sketch allocates nothing --- *)
+
+let alloc_items =
+  let g = Rng.create 31 in
+  Array.init 100_000 (fun _ -> Rng.int g 1_000_000)
+
+let add_batch_words (type s)
+    (module S : Wd_sketch.Sketch_intf.DISTINCT_SKETCH with type t = s)
+    (sk : s) =
+  S.add_batch sk alloc_items;
+  let w0 = Gc.minor_words () in
+  S.add_batch sk alloc_items;
+  Gc.minor_words () -. w0
+
+let test_add_batch_allocates_nothing () =
+  let module Fm = Wd_sketch.Fm in
+  let module Fmc = Wd_sketch.Fm_concentrated in
+  let fm variant =
+    Fm.create (Fm.family_custom ~rng:(Rng.create 32) ~variant ~bitmaps:64)
+  in
+  let cases =
+    [
+      ("fm stochastic", add_batch_words (module Fm) (fm Fm.Stochastic));
+      ("fm averaged", add_batch_words (module Fm) (fm Fm.Averaged));
+      ( "fmc",
+        add_batch_words (module Fmc)
+          (Fmc.of_params ~alpha:0.1 ~delta:0.05 ~seed:33) );
+      ( "hll",
+        add_batch_words (module Hll)
+          (Hll.of_params ~alpha:0.1 ~delta:0.05 ~seed:34) );
+    ]
+  in
+  List.iter
+    (fun (name, words) ->
+      Alcotest.(check (float 0.0))
+        (name ^ ": minor words in add_batch") 0.0 words)
+    cases
+
 let () =
   let qsuite =
     List.map QCheck_alcotest.to_alcotest
@@ -237,6 +275,11 @@ let () =
           Alcotest.test_case "fm" `Quick Fm_conf.run;
           Alcotest.test_case "bjkst" `Quick Bjkst_conf.run;
           Alcotest.test_case "hll" `Quick Hll_conf.run;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "add_batch" `Quick
+            test_add_batch_allocates_nothing;
         ] );
       ("properties", qsuite);
     ]

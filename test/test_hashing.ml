@@ -212,6 +212,218 @@ let test_geometric_level_of_hash () =
       (Float.abs (got -. expected) < 0.015)
   done
 
+(* --- Native-int entry points: bit-identity pins --- *)
+
+module Mixed_tabulation = Wd_hashing.Mixed_tabulation
+module Fmc = Wd_sketch.Fm_concentrated
+module Hll = Wd_sketch.Hyperloglog
+module Fanout = Wd_view.Fanout_sketch
+
+(* The hash entry points return native ints computed inside the hashing
+   modules.  These are the int64 formulas they replace, transcribed
+   here: every new entry point must equal them bit for bit. *)
+module Int64_reference = struct
+  let mixer ~seed x = Splitmix.mix (Int64.add (Splitmix.mix seed) x)
+
+  (* [Universal.multiply_shift] draws a then b from the generator. *)
+  let multiply_shift rng =
+    let a = Int64.logor (Rng.int64 rng) 1L in
+    let b = Rng.int64 rng in
+    fun x ->
+      let v = Int64.add (Int64.mul a x) b in
+      Int64.logor (Int64.shift_right_logical v 32) (Int64.shift_left v 32)
+
+  let level word = min 63 (Geometric.trailing_zeros word)
+
+  let to_range word ~buckets =
+    Int64.to_int (Int64.shift_right_logical word 2) mod buckets
+
+  (* Bucket from the high 32 bits, level from the low 32, capped at 32:
+     the concentrated-FM and fanout split. *)
+  let pcsa word ~m =
+    let low = Int64.logand word 0xFFFFFFFFL in
+    ( Int64.to_int (Int64.shift_right_logical word 32) mod m,
+      if low = 0L then 32 else Geometric.trailing_zeros low )
+
+  let hll word ~log2m =
+    let shift = 64 - log2m in
+    let rest = Int64.logand word (Int64.pred (Int64.shift_left 1L shift)) in
+    ( Int64.to_int (Int64.shift_right_logical word shift),
+      if rest = 0L then 63 else min 63 (1 + Geometric.trailing_zeros rest) )
+end
+
+(* 100k keys over the whole int range: negatives, small ids and the
+   extremes included. *)
+let pin_keys =
+  let g = Rng.create 2027 in
+  let specials =
+    [|
+      0; 1; -1; 2; -2; min_int; max_int; min_int + 1; max_int - 1;
+      1 lsl 31; 1 lsl 32; -(1 lsl 40); 0xFFFFFFFF;
+    |]
+  in
+  Array.append specials
+    (Array.init (100_000 - Array.length specials) (fun i ->
+         if i land 1 = 0 then Int64.to_int (Rng.int64 g)
+         else Rng.int g 2_000_000 - 1_000_000))
+
+let check_all what f =
+  Array.iter
+    (fun v ->
+      if not (f v) then
+        Alcotest.failf "%s differs from the int64 formula at key %d" what v)
+    pin_keys
+
+let test_universal_pins () =
+  let families =
+    [
+      ("mixer", Universal.create ~seed:77L, Int64_reference.mixer ~seed:77L);
+      ( "multiply-shift",
+        Universal.multiply_shift (Rng.create 78),
+        Int64_reference.multiply_shift (Rng.create 78) );
+    ]
+  in
+  List.iter
+    (fun (name, h, word_of) ->
+      let word v = word_of (Int64.of_int v) in
+      check_all (name ^ " hash") (fun v ->
+          Int64.equal (Universal.hash h v) (word v));
+      check_all (name ^ " low_bits") (fun v ->
+          Universal.low_bits h v = Int64.to_int (word v));
+      check_all (name ^ " Geometric.level") (fun v ->
+          Geometric.level h v = Int64_reference.level (word v));
+      List.iter
+        (fun buckets ->
+          check_all (Printf.sprintf "%s to_range %d" name buckets) (fun v ->
+              Universal.to_range h ~buckets v
+              = Int64_reference.to_range (word v) ~buckets))
+        [ 1; 7; 16; 1000; max_int ];
+      List.iter
+        (fun log2m ->
+          check_all (Printf.sprintf "%s bucket_rank %d" name log2m) (fun v ->
+              let s = Universal.bucket_rank h ~log2m v in
+              (s lsr 6, s land 63) = Int64_reference.hll (word v) ~log2m))
+        [ 1; 4; 10; 16; 56 ])
+    families
+
+let test_mixed_tabulation_split_pin () =
+  let mt = Mixed_tabulation.create (Rng.create 79) in
+  check_all "Mixed_tabulation.split" (fun v ->
+      let s = Mixed_tabulation.split mt v in
+      (s lsr 6, s land 63)
+      = Int64_reference.pcsa (Mixed_tabulation.hash mt v) ~m:max_int)
+
+(* The sketches on top: registers built from the int64 formulas.  Half
+   the keys go through [add], half through [add_batch]. *)
+
+let halves () =
+  let half = Array.length pin_keys / 2 in
+  ( Array.sub pin_keys 0 half,
+    Array.sub pin_keys half (Array.length pin_keys - half) )
+
+let test_fmc_split_pin () =
+  let m = 97 in
+  let mt = Mixed_tabulation.create (Rng.create 80) in
+  let sk = Fmc.create (Fmc.family_custom ~rng:(Rng.create 80) ~buckets:m) in
+  let first, second = halves () in
+  Array.iter (fun v -> ignore (Fmc.add sk v : bool)) first;
+  Fmc.add_batch sk second;
+  let expected = Bytes.make (8 * m) '\000' in
+  Array.iter
+    (fun v ->
+      let j, level = Int64_reference.pcsa (Mixed_tabulation.hash mt v) ~m in
+      Bytes.set_int64_le expected (8 * j)
+        (Int64.logor
+           (Bytes.get_int64_le expected (8 * j))
+           (Int64.shift_left 1L level)))
+    pin_keys;
+  Alcotest.(check bool)
+    "fmc registers" true
+    (Bytes.equal expected (Fmc.to_bytes sk))
+
+let test_fanout_split_pin () =
+  (* Two families on one plane share its memo; each item arrives twice
+     in a row so that the second add of every pair hits the memo. *)
+  let mt = Mixed_tabulation.create (Rng.create 81) in
+  let plane = Fanout.plane ~rng:(Rng.create 81) () in
+  let sizes = [| 16; 333 |] in
+  let sketches =
+    Array.map
+      (fun m -> Fanout.create (Fanout.family_custom ~plane ~buckets:m))
+      sizes
+  in
+  let regs = Array.map (fun m -> Array.make m 0) sizes in
+  Array.iter
+    (fun v ->
+      for _ = 1 to 2 do
+        Array.iteri
+          (fun f sk ->
+            let j, level =
+              Int64_reference.pcsa (Mixed_tabulation.hash mt v) ~m:sizes.(f)
+            in
+            let bit = 1 lsl level in
+            let fresh = regs.(f).(j) land bit = 0 in
+            regs.(f).(j) <- regs.(f).(j) lor bit;
+            if Fanout.add sk v <> fresh then
+              Alcotest.failf "fanout (m=%d) add flag differs at key %d"
+                sizes.(f) v)
+          sketches
+      done)
+    pin_keys
+
+let test_hll_rank_pin () =
+  let registers = 1024 in
+  let h = Universal.of_rng (Rng.create 82) in
+  let sk = Hll.create (Hll.family_custom ~rng:(Rng.create 82) ~registers) in
+  let first, second = halves () in
+  Array.iter (fun v -> ignore (Hll.add sk v : bool)) first;
+  Hll.add_batch sk second;
+  let expected = Bytes.make registers '\000' in
+  Array.iter
+    (fun v ->
+      let j, rank = Int64_reference.hll (Universal.hash h v) ~log2m:10 in
+      if rank > Char.code (Bytes.get expected j) then
+        Bytes.set expected j (Char.chr rank))
+    pin_keys;
+  Alcotest.(check bool)
+    "hll registers" true
+    (Bytes.equal expected (Hll.to_bytes sk))
+
+(* --- Allocation: the native-int entry points allocate nothing --- *)
+
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+let test_entry_points_allocate_nothing () =
+  let n = Array.length pin_keys in
+  List.iter
+    (fun (name, h) ->
+      let acc = ref 0 in
+      let level_words =
+        minor_words (fun () ->
+            for i = 0 to n - 1 do
+              acc := !acc + Geometric.level h (Array.unsafe_get pin_keys i)
+            done)
+      in
+      let range_words =
+        minor_words (fun () ->
+            for i = 0 to n - 1 do
+              let v = Array.unsafe_get pin_keys i in
+              acc := !acc + Universal.to_range h ~buckets:1000 v
+            done)
+      in
+      ignore (Sys.opaque_identity !acc);
+      Alcotest.(check (float 0.0))
+        (name ^ ": Geometric.level words") 0.0 level_words;
+      Alcotest.(check (float 0.0))
+        (name ^ ": Universal.to_range words") 0.0 range_words)
+    [
+      ("mixer", Universal.of_rng (Rng.create 83));
+      ("multiply-shift", Universal.multiply_shift (Rng.create 84));
+    ]
+
 (* --- QCheck properties --- *)
 
 let prop_shuffle_is_permutation =
@@ -272,6 +484,18 @@ let () =
           Alcotest.test_case "int uniformity" `Quick test_rng_int_uniformity;
           Alcotest.test_case "float range" `Quick test_rng_float_range;
           Alcotest.test_case "geometric level" `Quick test_geometric_level_distribution;
+        ] );
+      ( "native ints",
+        [
+          Alcotest.test_case "universal and geometric" `Quick
+            test_universal_pins;
+          Alcotest.test_case "mixed tabulation split" `Quick
+            test_mixed_tabulation_split_pin;
+          Alcotest.test_case "fmc split" `Quick test_fmc_split_pin;
+          Alcotest.test_case "fanout split" `Quick test_fanout_split_pin;
+          Alcotest.test_case "hll rank" `Quick test_hll_rank_pin;
+          Alcotest.test_case "no allocation" `Quick
+            test_entry_points_allocate_nothing;
         ] );
       ( "hash families",
         [

@@ -142,7 +142,105 @@ let test_sketch_ablation_runs () =
         true (err < 0.25))
     [ Query.Bjkst; Query.Hll; Query.Fmc ]
 
+(* --- The ground-truth table against a Hashtbl reference --- *)
+
+module Truth = Sim.Truth_table
+
+(* Keys probing from the last slot of [t]'s current array: the second
+   of them has to wrap past the end. *)
+let wrapping_keys t =
+  let last = Truth.capacity t - 1 in
+  let rec go k acc n =
+    if n = 0 then acc
+    else if Truth.home t k = last then go (k + 7919) (k :: acc) (n - 1)
+    else go (k + 7919) acc n
+  in
+  go (-1_000_003) [] 3
+
+let truth_table_agrees (counts, items) =
+  let t = Truth.create ~counts 8 in
+  let reference = Hashtbl.create 64 in
+  let add v =
+    let fresh = not (Hashtbl.mem reference v) in
+    Hashtbl.replace reference v
+      (1 + Option.value ~default:0 (Hashtbl.find_opt reference v));
+    Truth.add t v = fresh
+  in
+  let capacity = ref 0 in
+  let adds_agree =
+    List.for_all
+      (fun v ->
+        let wraps_agree =
+          Truth.capacity t = !capacity
+          || begin
+               capacity := Truth.capacity t;
+               List.for_all add (wrapping_keys t)
+             end
+        in
+        wraps_agree && add v)
+      items
+  in
+  let multiplicity c = if counts then c else 1 in
+  let expected =
+    Hashtbl.fold (fun v c acc -> (v, multiplicity c) :: acc) reference []
+    |> List.sort compare
+  in
+  adds_agree
+  && Truth.length t = Hashtbl.length reference
+  && List.for_all (fun (v, c) -> Truth.find t v = c) expected
+  && List.for_all
+       (fun v -> Hashtbl.mem reference v || Truth.find t v = 0)
+       [ min_int; max_int; 0; -1; 42 ]
+  && List.sort compare (Truth.fold (fun v c acc -> (v, c) :: acc) t [])
+     = expected
+
+let prop_truth_table =
+  let item =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, int);
+          (3, int_range (-200) 200);
+          (1, oneofl [ min_int; max_int; 0; -1; min_int + 1 ]);
+        ])
+  in
+  QCheck.Test.make ~name:"truth table = Hashtbl reference" ~count:60
+    (QCheck.make
+       QCheck.Gen.(pair bool (list_size (int_range 0 6000) item)))
+    truth_table_agrees
+
+(* --- Allocation: the DC update path allocates nothing between sends --- *)
+
+(* A send allocates (ledger records, the boxed estimate, the pending
+   set), and so does building the registry; updates between sends must
+   not.  Replaying a stream after itself isolates them: every replayed
+   arrival is already in its site's sketch, so the replay changes no
+   sketch and sends nothing, and the two runs differ only by [n]
+   between-sends updates. *)
+let test_dc_run_words_between_sends () =
+  let n = 200_000 in
+  let stream =
+    Stream_gen.zipf ~seed:3 ~skew:1.0 ~sites:10 ~events:n ~universe:100_000 ()
+  in
+  let replayed = Stream.concat [ stream; stream ] in
+  let query = Query.dc ~theta:0.03 ~alpha:0.07 Dc.LS in
+  let words s =
+    let w0 = Gc.minor_words () in
+    let r = Sim.run query s in
+    (Gc.minor_words () -. w0, r)
+  in
+  ignore (words stream);
+  let once, r1 = words stream in
+  let twice, r2 = words replayed in
+  Alcotest.(check int) "the replay sends nothing" r1.Sim.sends r2.Sim.sends;
+  let per_update = (twice -. once) /. Float.of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "dc:ls allocates %.4f words/update between sends (<= 0.5)"
+       per_update)
+    true (per_update <= 0.5)
+
 let () =
+  let rand = Random.State.make [| Prop.seed |] in
   Alcotest.run "simulation"
     [
       ( "dc",
@@ -164,6 +262,12 @@ let () =
         [
           Alcotest.test_case "true prefixes" `Quick test_true_distinct_prefixes;
           Alcotest.test_case "pair stream" `Quick test_pair_stream_of_requests;
+          QCheck_alcotest.to_alcotest ~rand prop_truth_table;
+        ] );
+      ( "alloc",
+        [
+          Alcotest.test_case "dc run words between sends" `Quick
+            test_dc_run_words_between_sends;
         ] );
       ( "hh",
         [ Alcotest.test_case "report" `Quick test_hh_report ] );

@@ -718,10 +718,34 @@ let connect_by_deadline fd path ~timeout =
   in
   go ()
 
+(* The version-mismatch tests fork a bad-version client and a good
+   relay.  The coordinator stops accepting once the relay's Hello fills
+   its quorum, so a client that connected later would never be answered.
+   The relay therefore starts only after the client has exited: it
+   blocks on a pipe whose only write end the client holds, until end of
+   file.  The client's read has its own timeout, so a coordinator that
+   never answers fails the test instead of hanging it. *)
+let gated_fork ~gate f =
+  match Unix.fork () with
+  | 0 ->
+    (try
+       let b = Bytes.create 1 in
+       while Unix.read gate b 0 1 > 0 do
+         ()
+       done;
+       Unix.close gate;
+       f ();
+       Unix._exit 0
+     with _ -> Unix._exit 1)
+  | pid -> pid
+
+let client_read_timeout = 10.0
+
 (* Speak a Hello with the wrong version byte; the coordinator must
    answer Reject (and not count us toward its site quorum). *)
 let bad_version_client path =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO client_read_timeout;
   connect_by_deadline fd path ~timeout:10.0;
   let hello = encode ~kind:Frame.Hello ~site:0 ~length:0 in
   Bytes.set_uint8 hello 2 (Frame.version + 1);
@@ -738,22 +762,21 @@ let bad_version_client path =
 
 let test_version_mismatch_rejected () =
   let path = sock_path () in
+  let gate, gate_w = Unix.pipe () in
   let bad_pid =
     match Unix.fork () with
     | 0 -> (
+      Unix.close gate;
       try Unix._exit (if bad_version_client path then 0 else 1)
       with _ -> Unix._exit 1)
     | pid -> pid
   in
+  Unix.close gate_w;
   let good_pid =
-    match Unix.fork () with
-    | 0 ->
-      (try
-         ignore (Socket.Site.run ~path ~site:0 () : Socket.site_report);
-         Unix._exit 0
-       with _ -> Unix._exit 1)
-    | pid -> pid
+    gated_fork ~gate (fun () ->
+        ignore (Socket.Site.run ~path ~site:0 () : Socket.site_report))
   in
+  Unix.close gate;
   let coord = Socket.Coordinator.connect ~path ~sites:1 () in
   let transport = Socket.Coordinator.pack coord in
   Transport.close transport;
@@ -768,6 +791,7 @@ let test_version_mismatch_rejected () =
    draw a typed Reject and must not count toward the site quorum. *)
 let tcp_bad_version_client port =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO client_read_timeout;
   let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, port) in
   let deadline = Unix.gettimeofday () +. 10.0 in
   let rec connect () =
@@ -801,13 +825,23 @@ let test_tcp_version_mismatch_rejected () =
   let coord =
     Tcp.Coordinator.connect ~port:0 ~sites:1
       ~on_listening:(fun port ->
+        let gate, gate_w = Unix.pipe () in
         (bad_pid :=
            match Unix.fork () with
            | 0 -> (
+             Unix.close gate;
              try Unix._exit (if tcp_bad_version_client port then 0 else 1)
              with _ -> Unix._exit 1)
            | pid -> Some pid);
-        good_pids := spawn_tcp_relays ~port [ (0, 1) ])
+        Unix.close gate_w;
+        good_pids :=
+          [
+            gated_fork ~gate (fun () ->
+                ignore
+                  (Tcp.Relay.run ~port ~first_site:0 ~count:1 ()
+                    : Frame_io.site_report));
+          ];
+        Unix.close gate)
       ()
   in
   Transport.close (Tcp.Coordinator.pack coord);
