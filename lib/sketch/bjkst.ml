@@ -99,6 +99,8 @@ let add_batch t vs =
   done
 
 let merge_into ~dst src =
+  if dst.fam != src.fam && dst.fam <> src.fam then
+    invalid_arg "Bjkst.merge_into: sketches from different families";
   for i = 0 to src.size - 1 do
     ignore (insert_hash dst src.heap.(i) : bool)
   done

@@ -8,9 +8,9 @@
     has an explicit likelihood in [lambda], and the aggregated score
     function is strictly decreasing — safeguarded Newton with a
     bisection bracket finds the unique root.  Callers own a small
-    integer counts scratch (one slot per possible bucket value) so the
-    estimate path allocates nothing; the weight tables are precomputed
-    at module initialization. *)
+    integer counts array (one slot per possible bucket value) so the
+    estimate path allocates nothing but its result; the weight tables
+    are precomputed at module initialization. *)
 
 val linear_blend : m:float -> empty:int -> raw:float -> float
 (** [linear_blend ~m ~empty ~raw] is the Classic small-range policy
@@ -21,16 +21,31 @@ val linear_blend : m:float -> empty:int -> raw:float -> float
     could step discontinuously.  When [empty = 0] (no empty bucket to
     count) or [m <= 1], returns [raw] unconditionally. *)
 
-val fm : counts:int array -> init:float -> float
-(** [fm ~counts ~init] is the MLE per-bucket intensity for FM bitmaps
-    observed through their lowest-zero statistic. [counts.(z)] must be
-    the number of bitmaps with lowest zero [z], [z] in [0, 64] (length
-    >= 65); the array is clobbered.  [init] seeds the Newton iteration
-    (use the Classic estimate divided by the bucket count; any
-    non-positive value falls back to 1).  Returns 0 when every bitmap
-    has lowest zero 0.  The distinct estimate is [m * lambda] for
-    stochastic averaging and [lambda] for the Averaged variant (where
-    every bitmap sees the full stream). *)
+val pow2_fractions : int -> float array
+(** [pow2_fractions m] is the table [2^(r/m)] for [r] in [\[0, m)]: the
+    fractional factor of [2^(sum/m)], built once per family so that
+    {!pcsa} needs no [Float.pow].  Requires [m >= 1]. *)
+
+val pcsa :
+  estimator:Sketch_intf.estimator ->
+  stochastic:bool ->
+  frac_pow:float array ->
+  sum:int ->
+  empty:int ->
+  hist:int array ->
+  float
+(** The estimate of an FM-family sketch of [m = Array.length frac_pow]
+    bitmaps ([frac_pow = pow2_fractions m]) from its statistic: [sum],
+    the sum of the bitmaps' lowest-zero indices; [empty], the number of
+    empty bitmaps; and, read only under [Mle], [hist], the number of
+    bitmaps per lowest-zero value (length >= 65, not modified).
+
+    [Classic] is [2^(sum/m) / phi]; with [stochastic] (PCSA), [m] times
+    that, blended by {!linear_blend} on [empty].  [Mle] is [m] (with
+    [stochastic]; else 1) times the MLE per-bucket intensity of bitmaps
+    observed through their lowest zeros, read from [hist] and seeded
+    with the Classic estimate over the same factor; 0 when every bitmap
+    has lowest zero 0.  Allocates only the result. *)
 
 val hll : counts:int array -> init:float -> float
 (** [hll ~counts ~init] is the MLE per-register intensity for HLL

@@ -87,8 +87,17 @@ val estimate : t -> float
     regression-tested, not an accident of guard ordering.
 
     Under [Mle], the Clifford–Cosma maximum-likelihood estimate from
-    the per-bitmap lowest-zero counts ({!Estimators.fm}); no crossover
-    exists because the likelihood already models the small range. *)
+    the per-bitmap lowest-zero counts ({!Estimators.pcsa}); no crossover
+    exists because the likelihood already models the small range.
+
+    Cost: O(1) under [Classic] and O(65) under [Mle], never O(m).  The
+    sketch keeps its estimator's statistic (lowest-zero sum, empty
+    count, and the lowest-zero histogram under [Mle]) current as
+    registers change, so the bitmaps are never rescanned; the estimate
+    is the same float a rescan would give.  This holds because
+    registers are written only by {!add}, {!add_batch}, {!merge_into}
+    and {!of_bytes} (and {!create}/{!copy}): any new write path must
+    update the statistic too ({!Fm_registers}). *)
 
 val size_bytes : t -> int
 (** [8 * m] bytes: the bitmaps are the wire payload. *)

@@ -48,6 +48,12 @@ let merge_into ~dst src =
   dst.lo <- dst.lo lor src.lo;
   dst.hi <- dst.hi lor src.hi
 
+let[@inline] covers t src = src.lo land lnot t.lo = 0 && src.hi land lnot t.hi = 0
+
+let holds_only t lvl =
+  if lvl < 32 then t.hi = 0 && t.lo = 1 lsl lvl
+  else t.lo = 0 && t.hi = 1 lsl (lvl - 32)
+
 (* Inlined: [Fm.delta_bytes] calls [missing] once per bitmap when an
    LS reply is priced, and a call per bitmap costs more than the loop,
    which usually runs zero or one times. *)

@@ -34,6 +34,13 @@ val estimate : t -> float
 val merge_into : dst:t -> t -> unit
 (** Bitwise OR: the merged bitmap summarizes the union of the item sets. *)
 
+val covers : t -> t -> bool
+(** [covers t src] holds iff every bit of [src] is set in [t], i.e.
+    merging [src] into [t] would change nothing. *)
+
+val holds_only : t -> int -> bool
+(** [holds_only t lvl] holds iff bit [lvl] is the only bit set. *)
+
 val missing : from:t -> t -> int
 (** [missing ~from t] is the number of bits set in [t] and unset in
     [from].  Works on the native halves, so it allocates nothing. *)

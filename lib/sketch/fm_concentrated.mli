@@ -62,7 +62,11 @@ val estimate : t -> float
     linear-counting crossover of {!Estimators.linear_blend} (same
     small-range policy as {!Fm.estimate}, including the empty = 0 raw
     fallback).  [Mle]: the Clifford–Cosma maximum-likelihood estimate
-    ({!Estimators.fm}). *)
+    ({!Estimators.pcsa}).
+
+    Cost: O(1) under [Classic] and O(65) under [Mle], never O(m): as in
+    {!Fm.estimate}, the statistic is kept current by the only register
+    writers, {!add}, {!add_batch}, {!merge_into} and {!of_bytes}. *)
 
 val size_bytes : t -> int
 (** [8 * buckets] bytes. *)

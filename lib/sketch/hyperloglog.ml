@@ -77,6 +77,8 @@ let add_batch t vs =
   done
 
 let merge_into ~dst src =
+  if dst.fam != src.fam && dst.fam <> src.fam then
+    invalid_arg "Hyperloglog.merge_into: sketches from different families";
   for j = 0 to dst.fam.m - 1 do
     let a = Bytes.get dst.regs j and b = Bytes.get src.regs j in
     if Char.code b > Char.code a then Bytes.set dst.regs j b

@@ -83,7 +83,14 @@ module type DISTINCT_SKETCH = sig
       sets.  Requires both sketches to belong to the same family. *)
 
   val estimate : t -> float
-  (** Approximate number of distinct items inserted (union semantics). *)
+  (** Approximate number of distinct items inserted (union semantics).
+      Trackers call it after every change to a summary.  The FM-family
+      sketches ({!Fm}, {!Fm_concentrated} and the registry's fanout
+      sketch) answer in O(1) under [Classic] and O(65) under [Mle],
+      from a statistic that every register write updates — so their
+      registers are written only through [add], [add_batch],
+      [merge_into] and [of_bytes].  {!Bjkst} reads its heap root in
+      O(1); {!Hyperloglog} still scans its [m] registers. *)
 
   val size_bytes : t -> int
   (** Wire size of the summary in bytes, as counted by the paper's

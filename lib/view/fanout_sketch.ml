@@ -1,15 +1,13 @@
 module Rng = Wd_hashing.Rng
 module Mixed_tabulation = Wd_hashing.Mixed_tabulation
-module Geometric = Wd_hashing.Geometric
 module Estimators = Wd_sketch.Estimators
-module Fm_bitmap = Wd_sketch.Fm_bitmap
 
 type plane = {
   hash : Mixed_tabulation.t;
   arena : Arena.t;
   mutable memo_key : int;
   mutable memo_split : int; (* [Mixed_tabulation.split hash memo_key] *)
-  scratch : int array; (* shared MLE counts buffer, as in {!Fm} *)
+  scratch : int array; (* shared copy of an MLE histogram, see [estimate] *)
 }
 
 let plane ?capacity ~rng () =
@@ -30,12 +28,20 @@ type family = {
   plane : plane;
   m : int;
   estimator : Wd_sketch.Sketch_intf.estimator;
-  frac_pow : float array; (* frac_pow.(r) = 2^(r/m), see Fm.pow2_mean *)
+  frac_pow : float array; (* {!Estimators.pow2_fractions} m *)
 }
 
 (* [off] indexes the family plane's arena: registers live at
-   [off .. off + m - 1], one 33-bit level bitmap per bucket. *)
+   [off .. off + m - 1], one 33-bit level bitmap per bucket.  The
+   estimator's statistic follows them, kept current by every register
+   write as in {!Wd_sketch.Fm_registers}: the sum of the lowest zeros at
+   [off + m], the number of empty registers at [off + m + 1] and, for
+   Mle families only, the lowest-zero histogram at [off + m + 2 ..
+   off + m + 66]. *)
 type t = { fam : family; off : int }
+
+let mle fam = fam.estimator = Wd_sketch.Sketch_intf.Mle
+let words fam = fam.m + 2 + if mle fam then 65 else 0
 
 let name = "fanout"
 
@@ -46,9 +52,7 @@ let family_custom ~plane ~buckets =
     plane;
     m = buckets;
     estimator = Wd_sketch.Sketch_intf.Classic;
-    frac_pow =
-      Array.init buckets (fun r ->
-          2.0 ** (Float.of_int r /. Float.of_int buckets));
+    frac_pow = Estimators.pow2_fractions buckets;
   }
 
 let family_on ~plane ~accuracy ~confidence =
@@ -69,12 +73,48 @@ let buckets fam = fam.m
 let plane_of fam = fam.plane
 let family_of t = t.fam
 
-let create fam = { fam; off = Arena.alloc fam.plane.arena fam.m }
+let create fam =
+  let arena = fam.plane.arena in
+  let off = Arena.alloc arena (words fam) in
+  (* Zeroed registers: all m empty, all m lowest zeros at 0. *)
+  Arena.set arena (off + fam.m + 1) fam.m;
+  if mle fam then Arena.set arena (off + fam.m + 2) fam.m;
+  { fam; off }
 
 let copy t =
-  let off = Arena.alloc t.fam.plane.arena t.fam.m in
-  Arena.blit t.fam.plane.arena ~src:t.off ~dst:off ~len:t.fam.m;
+  let len = words t.fam in
+  let off = Arena.alloc t.fam.plane.arena len in
+  Arena.blit t.fam.plane.arena ~src:t.off ~dst:off ~len;
   { t with off }
+
+(* Index of the least significant zero bit of a register: its number of
+   trailing ones, at most 33 since registers use 33 of the 63 bits.
+   Counted inline, with [note] and [grow], so that [merge_into]'s loop
+   holds no call: a call on the changed path made the release build
+   slower on the unchanged one. *)
+let[@inline] lowest_zero r =
+  let r = ref r and z = ref 0 in
+  while !r land 1 = 1 do
+    r := !r lsr 1;
+    incr z
+  done;
+  !z
+
+let[@inline] bump arena i d = Arena.unsafe_set arena i (Arena.unsafe_get arena i + d)
+
+(* A register of [t] changed: its lowest zero moved from [z0] to [z1]
+   (possibly equal), and it was empty iff [was_empty]. *)
+let[@inline] note t ~z0 ~z1 ~was_empty =
+  let fam = t.fam in
+  let arena = fam.plane.arena and st = t.off + fam.m in
+  if z1 <> z0 then begin
+    bump arena st (z1 - z0);
+    if mle fam then begin
+      bump arena (st + 2 + z0) (-1);
+      bump arena (st + 2 + z1) 1
+    end
+  end;
+  if was_empty then bump arena (st + 1) (-1)
 
 (* One memoized mixed-tabulation hash per item per plane: the first
    sketch to see an item pays the hash, every other sketch on the plane
@@ -102,7 +142,12 @@ let add t v =
   let r = Arena.unsafe_get p.arena idx in
   let bit = 1 lsl level in
   if r land bit = 0 then begin
-    Arena.unsafe_set p.arena idx (r lor bit);
+    let r' = r lor bit in
+    Arena.unsafe_set p.arena idx r';
+    (* A lowest zero now above [level] was [level]; otherwise it did
+       not move. *)
+    let z = lowest_zero r' in
+    note t ~z0:(if z > level then level else z) ~z1:z ~was_empty:(r = 0);
     true
   end
   else false
@@ -114,48 +159,35 @@ let add_batch t vs =
     ignore (add t (Array.unsafe_get vs i) : bool)
   done
 
+(* Register [j] of [t] grows from [r] to [r']. *)
+let[@inline] grow t j r r' =
+  Arena.unsafe_set t.fam.plane.arena (t.off + j) r';
+  note t ~z0:(lowest_zero r) ~z1:(lowest_zero r') ~was_empty:(r = 0)
+
 let merge_into ~dst src =
   if dst.fam != src.fam then
     invalid_arg "Fanout_sketch.merge_into: sketches from different families";
   let arena = dst.fam.plane.arena in
   for j = 0 to dst.fam.m - 1 do
-    let r =
-      Arena.unsafe_get arena (dst.off + j)
-      lor Arena.unsafe_get arena (src.off + j)
-    in
-    Arena.unsafe_set arena (dst.off + j) r
+    let r = Arena.unsafe_get arena (dst.off + j) in
+    let r' = r lor Arena.unsafe_get arena (src.off + j) in
+    if r' <> r then grow dst j r r'
   done
 
-(* Index of the least significant zero bit of a register: the number of
-   trailing ones, i.e. the trailing zeros of the complement (the
-   complement is never 0 — registers use 33 of the 63 bits). *)
-let lowest_zero r = Geometric.trailing_zeros_int (lnot r)
-
-let pow2_mean fam sum =
-  Float.ldexp fam.frac_pow.(sum mod fam.m) (sum / fam.m)
-
+(* Under Mle the histogram is copied into the plane's buffer, since
+   {!Estimators.pcsa} reads an int array: O(65), not O(m). *)
 let estimate t =
   let fam = t.fam in
-  let arena = fam.plane.arena in
-  let sum = ref 0 and empty = ref 0 in
-  for j = 0 to fam.m - 1 do
-    let r = Arena.unsafe_get arena (t.off + j) in
-    sum := !sum + lowest_zero r;
-    if r = 0 then incr empty
-  done;
-  let m = Float.of_int fam.m in
-  let raw = m *. pow2_mean fam !sum /. Fm_bitmap.phi in
-  let classic = Estimators.linear_blend ~m ~empty:!empty ~raw in
-  match fam.estimator with
-  | Wd_sketch.Sketch_intf.Classic -> classic
-  | Wd_sketch.Sketch_intf.Mle ->
-    let counts = fam.plane.scratch in
-    Array.fill counts 0 65 0;
-    for j = 0 to fam.m - 1 do
-      let z = lowest_zero (Arena.unsafe_get arena (t.off + j)) in
-      counts.(z) <- counts.(z) + 1
+  let arena = fam.plane.arena and st = t.off + fam.m in
+  let hist = fam.plane.scratch in
+  if mle fam then
+    for z = 0 to 64 do
+      Array.unsafe_set hist z (Arena.unsafe_get arena (st + 2 + z))
     done;
-    m *. Estimators.fm ~counts ~init:(classic /. m)
+  Estimators.pcsa ~estimator:fam.estimator ~stochastic:true
+    ~frac_pow:fam.frac_pow ~sum:(Arena.unsafe_get arena st)
+    ~empty:(Arena.unsafe_get arena (st + 1))
+    ~hist
 
 let size_bytes t = 8 * t.fam.m
 
@@ -187,13 +219,7 @@ let equal a b =
       done;
       !ok)
 
-let is_empty t =
-  let arena = t.fam.plane.arena in
-  let empty = ref true in
-  for j = 0 to t.fam.m - 1 do
-    if Arena.unsafe_get arena (t.off + j) <> 0 then empty := false
-  done;
-  !empty
+let is_empty t = Arena.get t.fam.plane.arena (t.off + t.fam.m + 1) = t.fam.m
 
 (* The uniform (alpha, delta, seed) constructor pair. *)
 

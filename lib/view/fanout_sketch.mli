@@ -17,7 +17,8 @@
     - {b Arena registers.}  Each sketch's [m] registers are one native
       int apiece (levels cap at 32, so a register is a 33-bit bitmap) in
       the plane's {!Arena} — no per-sketch heap array, nothing for the
-      GC to scan.
+      GC to scan.  Two more arena words per sketch (65 more under
+      [Mle]) hold the estimator's statistic.
 
     Sketches are mergeable only within one family, and families are
     comparable only on one plane.  The memo makes a plane single-writer:
@@ -35,8 +36,8 @@ val plane : ?capacity:int -> rng:Wd_hashing.Rng.t -> unit -> plane
     doubling past it). *)
 
 val plane_words : plane -> int
-(** Register words allocated on the plane so far (across every family
-    and sketch). *)
+(** Arena words allocated on the plane so far: every sketch's registers
+    and statistic, across every family. *)
 
 type family
 type t
@@ -74,6 +75,14 @@ val add : t -> int -> bool
 val add_batch : t -> int array -> unit
 val merge_into : dst:t -> t -> unit
 val estimate : t -> float
+(** The {!Wd_sketch.Fm_concentrated.estimate} of the registers.  Cost:
+    O(1) under [Classic] and O(65) under [Mle], never O(m).  Each
+    sketch keeps its statistic — lowest-zero sum and empty count, plus
+    the lowest-zero histogram in [Mle] families — in the arena right
+    after its registers, and the only register writers ({!add},
+    {!add_batch}, {!merge_into}, {!create}, {!copy}) keep it current:
+    a new write path must do the same. *)
+
 val size_bytes : t -> int
 val delta_bytes : from:t -> t -> int
 val equal : t -> t -> bool

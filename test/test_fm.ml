@@ -50,6 +50,33 @@ let test_bitmap_roundtrip () =
   let a = Fm_bitmap.of_bits 0xDEADBEEFL in
   Alcotest.(check int64) "of_bits/bits roundtrip" 0xDEADBEEFL (Fm_bitmap.bits a)
 
+(* Every pair of levels, so both native halves and the split between
+   them are exercised: the sketches' statistic reads [holds_only] after
+   an add and [covers] before a merge. *)
+let test_bitmap_holds_only_covers () =
+  let of_levels ls =
+    let b = Fm_bitmap.create () in
+    List.iter (fun l -> ignore (Fm_bitmap.add_level b l : bool)) ls;
+    b
+  in
+  for l1 = 0 to 63 do
+    let one = of_levels [ l1 ] in
+    if not (Fm_bitmap.holds_only one l1) then
+      Alcotest.failf "{%d} holds only %d" l1 l1;
+    if not (Fm_bitmap.covers one one) then Alcotest.failf "{%d} covers itself" l1;
+    for l2 = 0 to 63 do
+      if l2 <> l1 then begin
+        let two = of_levels [ l1; l2 ] in
+        if Fm_bitmap.holds_only two l1 || Fm_bitmap.holds_only one l2 then
+          Alcotest.failf "holds_only with levels %d, %d" l1 l2;
+        if not (Fm_bitmap.covers two one) || Fm_bitmap.covers one two then
+          Alcotest.failf "covers with levels %d, %d" l1 l2
+      end
+    done
+  done;
+  Alcotest.(check bool) "empty covered by empty" true
+    (Fm_bitmap.covers (Fm_bitmap.create ()) (Fm_bitmap.create ()))
+
 (* --- Multi-bitmap sketch --- *)
 
 let mk_family ?(seed = 21) ?(variant = Fm.Stochastic) ?(bitmaps = 64) () =
@@ -229,6 +256,8 @@ let () =
           Alcotest.test_case "copy independent" `Quick
             test_bitmap_copy_independent;
           Alcotest.test_case "bits roundtrip" `Quick test_bitmap_roundtrip;
+          Alcotest.test_case "holds_only, covers" `Quick
+            test_bitmap_holds_only_covers;
         ] );
       ( "sketch",
         [

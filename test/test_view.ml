@@ -80,8 +80,9 @@ let test_fanout_shared_plane () =
   let fam_a = Fanout.family_on ~plane ~accuracy:0.1 ~confidence:0.9 in
   let fam_b = Fanout.family_on ~plane ~accuracy:0.2 ~confidence:0.9 in
   let a = Fanout.create fam_a and b = Fanout.create fam_b in
+  (* Each sketch holds its m registers and two statistic words. *)
   Alcotest.(check int) "plane words cover both registers"
-    (Fanout.buckets fam_a + Fanout.buckets fam_b)
+    (Fanout.buckets fam_a + 2 + Fanout.buckets fam_b + 2)
     (Fanout.plane_words plane);
   (* Interleaved adds of the same item exercise the hash memo; both
      sketches must agree with privately-fed twins. *)
